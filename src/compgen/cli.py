@@ -3,16 +3,19 @@
 Subcommands compose via files only; every run that writes an output file
 also writes a `<output>.manifest.json` with the resolved configuration and
 content hashes of inputs and outputs, so results stay auditable and
-reproducible.  Defaults for --seed and --threads can be overridden with the
-COMPGEN_SEED / COMPGEN_THREADS environment variables.
+reproducible.  The default for --seed can be overridden with the
+COMPGEN_SEED environment variable.  Bad input ends in an error that names
+the file and line, with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -47,11 +50,59 @@ def _write_manifest(out_path, command: str, config: dict, inputs: list) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _read_lines(path):
-    if path is None:
-        return [line.rstrip("\n") for line in sys.stdin if line.strip()]
-    return [line for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+def _map_lines(fn, path) -> str:
+    """Apply fn to each non-blank line of the file (stdin when path is None).
+    A ValueError from fn is reported with the file and the line number,
+    counting blank lines."""
+    text = sys.stdin.read() if path is None else Path(path).read_text(encoding="utf-8")
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(fn(line) + "\n")
+        except ValueError as exc:
+            name = "<stdin>" if path is None else path
+            raise data.DataError(f"{name}:{lineno}: {exc}") from exc
+    return "".join(out)
+
+
+def _read_json(path):
+    """Parse a JSON file.  Also return require(value, *keys, parent): the
+    values of keys in the object value, or an EvalError that names the file
+    and the line where value starts (where parent starts, when value is not
+    an object or array)."""
+    text = Path(path).read_text(encoding="utf-8")
+    newlines = [m.start() for m in re.finditer("\n", text)]
+    lines = {}
+
+    def located(parse):
+        def parse_located(s_and_end, *args):
+            value, end = parse(s_and_end, *args)
+            lines[id(value)] = bisect.bisect(newlines, s_and_end[1]) + 1
+            return value, end
+        return parse_located
+
+    decoder = json.JSONDecoder()
+    decoder.parse_object = located(json.decoder.JSONObject)
+    decoder.parse_array = located(json.decoder.JSONArray)
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    try:
+        value = decoder.decode(text)
+    except json.JSONDecodeError as exc:
+        raise evaluation.EvalError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+    def require(value, *keys, parent=None):
+        container = value if isinstance(value, (dict, list)) else parent
+        where = f"{path}:{lines.get(id(container), 1)}"
+        if not isinstance(value, dict):
+            raise evaluation.EvalError(f"{where}: expected a JSON object")
+        for key in keys:
+            if key not in value:
+                raise evaluation.EvalError(f"{where}: missing key {key!r}")
+        return [value[key] for key in keys]
+
+    return value, require
 
 
 def _write_text(text: str, path, command: str, config: dict, inputs: list) -> None:
@@ -65,8 +116,6 @@ def _write_text(text: str, path, command: str, config: dict, inputs: list) -> No
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="compgen-toolkit")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", type=int, default=_env_int("THREADS", 1),
-                        help="worker cap for parallelizable steps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan_p = sub.add_parser("scan", help="dataset generation and interpretation")
@@ -165,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p = eval_sub.add_parser("report")
     p.add_argument("--in", dest="infile", required=True,
-                   help="JSON: {model: {split: {mean, variance, kind} | null}}")
+                   help="JSON: {model: {split: <eval score output> | null}}")
     p.add_argument("--out", required=True)
     p = eval_sub.add_parser("length-breakdown")
     p.add_argument("--gold", required=True)
@@ -188,9 +237,8 @@ def _cmd_scan(args) -> int:
         _write_manifest(args.out, "scan generate",
                         {"format": args.format}, [])
         return 0
-    lines = _read_lines(args.infile)
-    out = [" ".join(scan.interpret(scan.parse_command(line))) for line in lines]
-    text = "".join(line + "\n" for line in out)
+    text = _map_lines(lambda line: " ".join(scan.interpret(scan.parse_command(line))),
+                      args.infile)
     _write_text(text, args.out, "scan interpret", {},
                 [args.infile] if args.infile else [])
     return 0
@@ -252,15 +300,12 @@ def _cmd_dbca(args) -> int:
 
 
 def _cmd_ir(args) -> int:
-    lines = _read_lines(args.infile)
-    out = []
-    for line in lines:
+    def convert(line):
         if args.subcommand == "encode":
-            query = sparql.parse_sparql(line)
-            out.append(sparql.serialize_ir(sparql.ir_encode(query, args.level)))
-        else:
-            out.append(sparql.serialize_sparql(sparql.ir_decode(line, args.level)))
-    text = "".join(line + "\n" for line in out)
+            return sparql.serialize_ir(sparql.ir_encode(sparql.parse_sparql(line), args.level))
+        return sparql.serialize_sparql(sparql.ir_decode(line, args.level))
+
+    text = _map_lines(convert, args.infile)
     _write_text(text, args.out, f"ir {args.subcommand}", {"level": args.level},
                 [args.infile] if args.infile else [])
     return 0
@@ -304,17 +349,21 @@ def _cmd_eval(args) -> int:
                     [args.gold, args.pred])
         return 0
     if sc == "report":
-        raw = json.loads(Path(args.infile).read_text(encoding="utf-8"))
+        # Cells are `eval score` outputs, in fractions; the table shows points.
+        raw, require = _read_json(args.infile)
+        require(raw)
         results = {}
         for model, per_split in raw.items():
+            require(per_split, parent=raw)
             results[model] = {}
             for split_name, cell in per_split.items():
                 if cell is None:
                     results[model][split_name] = None
-                else:
-                    results[model][split_name] = evaluation.AggregateStat(
-                        cell["mean"], cell.get("variance", 0.0),
-                        cell.get("kind", "stdev"), cell.get("n", 1))
+                    continue
+                mean, variance, kind, n = require(
+                    cell, "mean", "variance", "variance_kind", "n_replicas", parent=per_split)
+                results[model][split_name] = evaluation.AggregateStat(
+                    100 * mean, 100 * variance, kind, n)
         text = evaluation.render_results_table(results)
         _write_text(text, args.out, "eval report", {}, [args.infile])
         return 0
@@ -334,8 +383,11 @@ def _cmd_eval(args) -> int:
                     [args.gold, args.pred, args.train])
         return 0
     # curve
-    raw = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    points = [(p["divergence"], p["accuracy"], p.get("label", "")) for p in raw]
+    raw, require = _read_json(args.infile)
+    if not isinstance(raw, list):
+        raise evaluation.EvalError(f"{args.infile}:1: expected a JSON list of points")
+    points = [(*require(p, "divergence", "accuracy", parent=raw), p.get("label", ""))
+              for p in raw]
     text = evaluation.divergence_curve(points)
     _write_text(text, args.out, "eval curve", {}, [args.infile])
     return 0

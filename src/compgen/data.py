@@ -8,7 +8,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class DataError(ValueError):
@@ -16,11 +16,33 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True)
+class DerivationTrace:
+    """Tree of applied rule ids: the derivation of an example, and for SCAN
+    also its command tree."""
+
+    rule: str
+    children: tuple["DerivationTrace", ...] = ()
+
+    def to_jsonable(self):
+        return [self.rule, [c.to_jsonable() for c in self.children]]
+
+    @classmethod
+    def from_jsonable(cls, obj) -> "DerivationTrace":
+        rule, children = obj
+        return cls(rule, tuple(cls.from_jsonable(c) for c in children))
+
+    def iter_nodes(self) -> Iterator["DerivationTrace"]:
+        yield self
+        for child in self.children:
+            yield from child.iter_nodes()
+
+
+@dataclass(frozen=True)
 class Example:
     id: str
     input: tuple[str, ...]
     output: tuple[str, ...]
-    derivation: Optional[object] = None  # DerivationTrace when present
+    derivation: Optional[DerivationTrace] = None
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -53,8 +75,6 @@ def load_dataset(path, format: Optional[str] = None) -> list[Example]:
     format defaults from the file suffix.  Missing ids are assigned from a
     content hash; duplicate ids are an error.
     """
-    from .scan import DerivationTrace
-
     path = Path(path)
     if format is None:
         format = "tsv" if path.suffix in (".tsv", ".txt") else "jsonl"

@@ -10,8 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .data import Example
-from .scan import DerivationTrace
+from .data import DerivationTrace, Example
 from .splits import SplitResult, SplitSpec
 
 DEFAULT_ATOM_ALPHA = 0.5

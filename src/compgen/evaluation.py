@@ -9,7 +9,7 @@ import io
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .data import Example, PredictionRecord
@@ -48,8 +48,6 @@ class EvalReport:
     split: str
     replica_accuracies: tuple[float, ...]
     aggregate: AggregateStat
-    length_buckets: tuple[LengthBucket, ...] = ()
-    compound_divergence: Optional[float] = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -59,8 +57,6 @@ class EvalReport:
             "variance": self.aggregate.variance_value,
             "variance_kind": self.aggregate.variance_kind,
             "n_replicas": self.aggregate.n,
-            "length_buckets": [vars(b) | {} for b in self.length_buckets],
-            "compound_divergence": self.compound_divergence,
         }
 
 
@@ -89,6 +85,15 @@ def _clause_set_match(prediction: Sequence[str], gold: Sequence[str]) -> bool:
     return clause_set_equal(pred_q, gold_q)
 
 
+def _match(prediction: Sequence[str], gold: Sequence[str],
+           relax_oov_braces: bool = False, oov_token: str = DEFAULT_OOV_TOKEN,
+           clause_set: bool = False) -> bool:
+    """The matcher of score_run and length_breakdown."""
+    if clause_set:
+        return _clause_set_match(prediction, gold)
+    return exact_match(prediction, gold, relax_oov_braces, oov_token)
+
+
 def score_run(predictions: Iterable[PredictionRecord],
               golds: Mapping[str, Sequence[str]] | Sequence[Example],
               relax_oov_braces: bool = False,
@@ -107,12 +112,8 @@ def score_run(predictions: Iterable[PredictionRecord],
             raise EvalError(f"prediction for unknown id {rec.example_id!r}")
         if rec.example_id in matched:
             raise EvalError(f"multiple predictions for id {rec.example_id!r}")
-        gold = tuple(golds[rec.example_id])
-        if clause_set:
-            ok = _clause_set_match(rec.tokens, gold)
-        else:
-            ok = exact_match(rec.tokens, gold, relax_oov_braces, oov_token)
-        matched[rec.example_id] = ok
+        matched[rec.example_id] = _match(rec.tokens, tuple(golds[rec.example_id]),
+                                         relax_oov_braces, oov_token, clause_set)
     correct = sum(1 for i in golds if matched.get(i, False))
     return correct / len(golds)
 
@@ -185,8 +186,8 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     for rec in predictions:
         if rec.example_id not in gold_map:
             raise EvalError(f"prediction for unknown id {rec.example_id!r}")
-        matched[rec.example_id] = exact_match(rec.tokens, gold_map[rec.example_id],
-                                              **match_options)
+        matched[rec.example_id] = _match(rec.tokens, gold_map[rec.example_id],
+                                         **match_options)
 
     def bucket_of(n: int) -> int:
         return (n - 1) // bucket_width
@@ -237,9 +238,9 @@ def render_results_table(results: Mapping[str, Mapping[str, Optional[AggregateSt
                          splits: Optional[Sequence[str]] = None,
                          bold_margin: float = 0.5) -> str:
     """Markdown table: rows are models, columns are splits, cells are
-    mean +/- variance.  Missing entries render as '-'; cells within
-    bold_margin of the column best are bolded; the variance kind(s) are
-    footnoted."""
+    mean +/- variance in percentage points.  Missing entries render as '-';
+    cells within bold_margin of the column best are bolded; the variance
+    kind(s) are footnoted."""
     if splits is None:
         seen: list[str] = []
         for per_model in results.values():

@@ -1,41 +1,65 @@
 """SCAN command grammar: parsing, interpretation, and exhaustive enumeration.
 
-The grammar (declaration order fixes the canonical enumeration order):
+Every rule is written once, in ``RULES``; ``GRAMMAR`` says which rules build
+each category and fixes the canonical enumeration order.  The categories are
+C (command), S (conjunct), V (verb phrase), W (the verb slot under
+opposite/around) and U (primitive).
 
-    C -> S | S "and" S | S "after" S
-    S -> V | V "twice" | V "thrice"
-    V -> U | "turn" DIR | U DIR | W "opposite" DIR | W "around" DIR
-    W -> U | "turn"
-    U -> "jump" | "walk" | "run" | "look"
-    DIR -> "left" | "right"
-
-Semantics: primitives map to their uppercase action; ``turn d`` -> dTURN;
-``u d`` -> dTURN + [[u]]; ``u opposite d`` -> dTURN dTURN + [[u]];
-``u around d`` -> 4 x (dTURN + [[u]]); ``x twice``/``thrice`` repeat;
-``x and y`` -> [[x]] [[y]]; ``x after y`` -> [[y]] [[x]].  A bare ``turn``
-under opposite/around contributes no action of its own, so
-``turn around left`` is 4 x LTURN.
+A command tree is its derivation trace: a ``DerivationTrace`` whose nodes are
+rule ids, under a root rule so that even a bare primitive yields one
+parent-child compound.  A bare ``turn`` under opposite/around contributes no
+action of its own, so ``turn around left`` is 4 x LTURN.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-PRIMITIVES = ("jump", "walk", "run", "look")
-DIRECTIONS = ("left", "right")
-MODIFIER_WORDS = ("opposite", "around")
-REPEAT_WORDS = {"twice": 2, "thrice": 3}
-CONJUNCTIONS = ("and", "after")
-
-VOCABULARY = frozenset(PRIMITIVES) | frozenset(DIRECTIONS) | {"turn"} | \
-    frozenset(MODIFIER_WORDS) | frozenset(REPEAT_WORDS) | frozenset(CONJUNCTIONS)
-
-PRIMITIVE_ACTIONS = {"jump": "JUMP", "walk": "WALK", "run": "RUN", "look": "LOOK"}
-TURN_ACTIONS = {"left": "LTURN", "right": "RTURN"}
+from .data import DerivationTrace, Example, content_id
 
 ROOT_RULE = "root"
+
+# rule id -> (surface template, action template).  An integer in a template
+# stands for the tokens (surface) or actions (action) of that child.
+RULES = {
+    "prim_jump": (("jump",), ("JUMP",)),
+    "prim_walk": (("walk",), ("WALK",)),
+    "prim_run": (("run",), ("RUN",)),
+    "prim_look": (("look",), ("LOOK",)),
+    "turn": (("turn",), ()),
+    "turn_left": (("turn", "left"), ("LTURN",)),
+    "turn_right": (("turn", "right"), ("RTURN",)),
+    "dir_left": ((0, "left"), ("LTURN", 0)),
+    "dir_right": ((0, "right"), ("RTURN", 0)),
+    "opp_left": ((0, "opposite", "left"), ("LTURN", "LTURN", 0)),
+    "opp_right": ((0, "opposite", "right"), ("RTURN", "RTURN", 0)),
+    "around_left": ((0, "around", "left"), ("LTURN", 0) * 4),
+    "around_right": ((0, "around", "right"), ("RTURN", 0) * 4),
+    "twice": ((0, "twice"), (0, 0)),
+    "thrice": ((0, "thrice"), (0, 0, 0)),
+    "and": ((0, "and", 1), (0, 1)),
+    "after": ((0, "after", 1), (1, 0)),
+    ROOT_RULE: ((0,), (0,)),
+}
+
+# category -> alternatives (child categories, rule ids).  Within an
+# alternative the children vary slowest, then the rule; the rule None passes
+# its single child through.
+GRAMMAR = {
+    "U": [((), ("prim_jump", "prim_walk", "prim_run", "prim_look"))],
+    "W": [(("U",), (None,)), ((), ("turn",))],
+    "V": [(("U",), (None,)), ((), ("turn_left", "turn_right")),
+          (("U",), ("dir_left", "dir_right")), (("W",), ("opp_left", "opp_right")),
+          (("W",), ("around_left", "around_right"))],
+    "S": [(("V",), (None, "twice", "thrice"))],
+    "C": [(("S",), (None,)), (("S", "S"), ("and",)), (("S", "S"), ("after",))],
+    ROOT_RULE: [(("C",), (ROOT_RULE,))],
+}
+
+PRIMITIVES = tuple(RULES[rule][0][0] for rule in GRAMMAR["U"][0][1])
+VOCABULARY = frozenset(word for surface, _ in RULES.values()
+                       for word in surface if isinstance(word, str))
 
 
 class ScanParseError(ValueError):
@@ -46,249 +70,98 @@ class ScanParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class CommandAst:
-    """Parse tree node.
-
-    kind is one of prim, turn, directed, opposite, around, repeat, and,
-    after.  payload holds the primitive name (prim), the direction (turn,
-    directed, opposite, around) or the repetition count (repeat).  A turn
-    node with payload None is the degenerate verb slot under
-    opposite/around ("turn opposite left").
-    """
-
-    kind: str
-    payload: Optional[object] = None
-    children: tuple["CommandAst", ...] = ()
-
-    def tokens(self) -> tuple[str, ...]:
-        """Re-serialize this subtree to its surface command tokens."""
-        if self.kind == "prim":
-            return (self.payload,)
-        if self.kind == "turn":
-            return ("turn",) if self.payload is None else ("turn", self.payload)
-        if self.kind == "directed":
-            return self.children[0].tokens() + (self.payload,)
-        if self.kind in ("opposite", "around"):
-            return self.children[0].tokens() + (self.kind, self.payload)
-        if self.kind == "repeat":
-            word = "twice" if self.payload == 2 else "thrice"
-            return self.children[0].tokens() + (word,)
-        if self.kind in ("and", "after"):
-            return self.children[0].tokens() + (self.kind,) + self.children[1].tokens()
-        raise AssertionError(f"unknown node kind {self.kind!r}")
-
-    def rule_id(self) -> str:
-        if self.kind == "prim":
-            return f"prim_{self.payload}"
-        if self.kind == "turn":
-            return "turn" if self.payload is None else f"turn_{self.payload}"
-        if self.kind == "directed":
-            return f"dir_{self.payload}"
-        if self.kind == "opposite":
-            return f"opp_{self.payload}"
-        if self.kind == "around":
-            return f"around_{self.payload}"
-        if self.kind == "repeat":
-            return "twice" if self.payload == 2 else "thrice"
-        return self.kind  # and / after
+def _fill(template, parts) -> tuple:
+    out = []
+    for item in template:
+        if isinstance(item, int):
+            out.extend(parts[item])
+        else:
+            out.append(item)
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
-    """Tree of applied rule ids mirroring the CommandAst shape."""
-
-    rule: str
-    children: tuple["DerivationTrace", ...] = ()
-
-    def to_jsonable(self):
-        return [self.rule, [c.to_jsonable() for c in self.children]]
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "DerivationTrace":
-        rule, children = obj
-        return cls(rule, tuple(cls.from_jsonable(c) for c in children))
-
-    def iter_nodes(self) -> Iterator["DerivationTrace"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+def _surface(tree: DerivationTrace) -> tuple[str, ...]:
+    return _fill(RULES[tree.rule][0], [_surface(c) for c in tree.children])
 
 
-def serialize(ast: CommandAst) -> str:
-    return " ".join(ast.tokens())
+def serialize(tree: DerivationTrace) -> str:
+    """The surface command of a (sub)tree."""
+    return " ".join(_surface(tree))
 
 
-def parse_command(tokens: Sequence[str] | str) -> CommandAst:
+def interpret(tree: DerivationTrace) -> tuple[str, ...]:
+    """Map a command tree to its action token sequence."""
+    return _fill(RULES[tree.rule][1], [interpret(c) for c in tree.children])
+
+
+def _derive(category: str) -> list[DerivationTrace]:
+    trees = []
+    for child_categories, rules in GRAMMAR[category]:
+        for children in itertools.product(*map(_derive, child_categories)):
+            for rule in rules:
+                trees.append(children[0] if rule is None
+                             else DerivationTrace(rule, children))
+    return trees
+
+
+# A command is one conjunct, or two joined by a conjunction word.
+_CONJUNCTS = {_surface(tree): tree for tree in _derive("S")}
+_CONJUNCT_PREFIXES = {key[:n] for key in _CONJUNCTS for n in range(1, len(key) + 1)}
+_JOINS = {RULES[rule][0][1]: rule
+          for child_categories, rules in GRAMMAR["C"] if len(child_categories) == 2
+          for rule in rules}
+
+
+def parse_command(tokens: Sequence[str] | str) -> DerivationTrace:
     """Parse a SCAN command; raises ScanParseError for malformed input."""
     if isinstance(tokens, str):
         tokens = tokens.split()
-    tokens = list(tokens)
-    if not tokens:
-        raise ScanParseError("empty command", 0)
-    for i, tok in enumerate(tokens):
-        if tok not in VOCABULARY:
-            raise ScanParseError(f"unknown word {tok!r}", i)
-    conj = [i for i, t in enumerate(tokens) if t in CONJUNCTIONS]
-    if len(conj) > 1:
-        raise ScanParseError(f"unexpected second conjunction {tokens[conj[1]]!r}", conj[1])
-    if conj:
-        i = conj[0]
-        if i == 0:
-            raise ScanParseError("conjunction with empty left side", 0)
-        if i == len(tokens) - 1:
-            raise ScanParseError("unexpected end of input after conjunction", len(tokens))
-        left = _parse_conjunct(tokens[:i], 0)
-        right = _parse_conjunct(tokens[i + 1:], i + 1)
-        return CommandAst(tokens[i], None, (left, right))
-    return _parse_conjunct(tokens, 0)
+    tokens = tuple(tokens)
+    for i, word in enumerate(tokens):
+        if word in _JOINS:
+            left, right = _CONJUNCTS.get(tokens[:i]), _CONJUNCTS.get(tokens[i + 1:])
+            if left is not None and right is not None:
+                return DerivationTrace(ROOT_RULE, (DerivationTrace(_JOINS[word], (left, right)),))
+            break
+    else:
+        tree = _CONJUNCTS.get(tokens)
+        if tree is not None:
+            return DerivationTrace(ROOT_RULE, (tree,))
+    raise _parse_error(tokens)
 
 
-def _parse_conjunct(tokens: list[str], offset: int) -> CommandAst:
-    count = None
-    if tokens and tokens[-1] in REPEAT_WORDS:
-        count = REPEAT_WORDS[tokens[-1]]
-        tokens = tokens[:-1]
-        if tokens and tokens[-1] in REPEAT_WORDS:
-            raise ScanParseError("doubled repetition word", offset + len(tokens) - 1)
-    if not tokens:
-        raise ScanParseError("missing verb phrase", offset)
-    verb = _parse_verb_phrase(tokens, offset)
-    if count is not None:
-        verb = CommandAst("repeat", count, (verb,))
-    return verb
+def _parse_error(tokens: tuple[str, ...]) -> ScanParseError:
+    """Error at the first token that no grammatical command can continue,
+    or at the token count if the input ends early."""
+    start, joined = 0, False
+    for i, word in enumerate(tokens):
+        if tokens[start:i + 1] in _CONJUNCT_PREFIXES:
+            continue
+        if word in _JOINS and not joined and tokens[start:i] in _CONJUNCTS:
+            start, joined = i + 1, True
+            continue
+        what = "unexpected word" if word in VOCABULARY else "unknown word"
+        return ScanParseError(f"{what} {word!r}", i)
+    return ScanParseError("unexpected end of input" if tokens else "empty command",
+                          len(tokens))
 
 
-def _parse_verb_phrase(tokens: list[str], offset: int) -> CommandAst:
-    head = tokens[0]
-    if head in DIRECTIONS or head in MODIFIER_WORDS:
-        raise ScanParseError(f"expected a verb, got {head!r}", offset)
-    if len(tokens) == 1:
-        if head == "turn":
-            raise ScanParseError("'turn' requires a direction", offset + 1)
-        return CommandAst("prim", head)
-    if len(tokens) == 2:
-        verb, direction = tokens
-        if direction not in DIRECTIONS:
-            raise ScanParseError(f"expected a direction, got {direction!r}", offset + 1)
-        if verb == "turn":
-            return CommandAst("turn", direction)
-        return CommandAst("directed", direction, (CommandAst("prim", verb),))
-    if len(tokens) == 3:
-        verb, modifier, direction = tokens
-        if modifier not in MODIFIER_WORDS:
-            raise ScanParseError(f"expected 'opposite' or 'around', got {modifier!r}", offset + 1)
-        if direction not in DIRECTIONS:
-            raise ScanParseError(f"expected a direction, got {direction!r}", offset + 2)
-        child = CommandAst("turn") if verb == "turn" else CommandAst("prim", verb)
-        return CommandAst(modifier, direction, (child,))
-    raise ScanParseError(f"unexpected token {tokens[3]!r}", offset + 3)
-
-
-def interpret(ast: CommandAst) -> tuple[str, ...]:
-    """Map a command parse tree to its action token sequence."""
-    kind = ast.kind
-    if kind == "prim":
-        return (PRIMITIVE_ACTIONS[ast.payload],)
-    if kind == "turn":
-        return () if ast.payload is None else (TURN_ACTIONS[ast.payload],)
-    if kind == "directed":
-        return (TURN_ACTIONS[ast.payload],) + interpret(ast.children[0])
-    if kind == "opposite":
-        turn = TURN_ACTIONS[ast.payload]
-        return (turn, turn) + interpret(ast.children[0])
-    if kind == "around":
-        unit = (TURN_ACTIONS[ast.payload],) + interpret(ast.children[0])
-        return unit * 4
-    if kind == "repeat":
-        return interpret(ast.children[0]) * ast.payload
-    if kind == "and":
-        return interpret(ast.children[0]) + interpret(ast.children[1])
-    if kind == "after":
-        return interpret(ast.children[1]) + interpret(ast.children[0])
-    raise AssertionError(f"unknown node kind {kind!r}")
-
-
-def derivation_trace(ast: CommandAst) -> DerivationTrace:
-    """Trace of applied rules, wrapped in a root rule so that even a bare
-    primitive yields one parent-child compound."""
-    return DerivationTrace(ROOT_RULE, (_trace(ast),))
-
-
-def _trace(ast: CommandAst) -> DerivationTrace:
-    return DerivationTrace(ast.rule_id(), tuple(_trace(c) for c in ast.children))
-
-
-_RULE_PARTS = {}
-for _p in PRIMITIVES:
-    _RULE_PARTS[f"prim_{_p}"] = ("prim", _p)
-for _d in DIRECTIONS:
-    _RULE_PARTS[f"turn_{_d}"] = ("turn", _d)
-    _RULE_PARTS[f"dir_{_d}"] = ("directed", _d)
-    _RULE_PARTS[f"opp_{_d}"] = ("opposite", _d)
-    _RULE_PARTS[f"around_{_d}"] = ("around", _d)
-_RULE_PARTS["turn"] = ("turn", None)
-_RULE_PARTS["twice"] = ("repeat", 2)
-_RULE_PARTS["thrice"] = ("repeat", 3)
-_RULE_PARTS["and"] = ("and", None)
-_RULE_PARTS["after"] = ("after", None)
-
-
-def replay_trace(trace: DerivationTrace) -> CommandAst:
-    """Rebuild the command tree from a derivation trace."""
-    node = trace
-    if node.rule == ROOT_RULE:
-        (node,) = node.children
-    kind, payload = _RULE_PARTS[node.rule]
-    children = tuple(replay_trace(c) for c in node.children)
-    return CommandAst(kind, payload, children)
-
-
-def _iter_verb_phrases() -> Iterator[CommandAst]:
-    # Declaration order: bare primitives, bare turns, directed, opposite, around.
-    for p in PRIMITIVES:
-        yield CommandAst("prim", p)
-    for d in DIRECTIONS:
-        yield CommandAst("turn", d)
-    for p in PRIMITIVES:
-        for d in DIRECTIONS:
-            yield CommandAst("directed", d, (CommandAst("prim", p),))
-    for kind in MODIFIER_WORDS:
-        for verb in PRIMITIVES + ("turn",):
-            child = CommandAst("turn") if verb == "turn" else CommandAst("prim", verb)
-            for d in DIRECTIONS:
-                yield CommandAst(kind, d, (child,))
-
-
-def _iter_conjuncts() -> Iterator[CommandAst]:
-    for v in _iter_verb_phrases():
-        yield v
-        yield CommandAst("repeat", 2, (v,))
-        yield CommandAst("repeat", 3, (v,))
-
-
-def iter_commands() -> Iterator[CommandAst]:
+def iter_commands() -> Iterator[DerivationTrace]:
     """All grammatical commands, once each, in canonical order."""
-    conjuncts = list(_iter_conjuncts())
-    yield from conjuncts
-    for kind in CONJUNCTIONS:
-        for left, right in itertools.product(conjuncts, conjuncts):
-            yield CommandAst(kind, None, (left, right))
+    yield from _derive(ROOT_RULE)
 
 
-def enumerate_dataset() -> list:
+def enumerate_dataset() -> list[Example]:
     """Exhaustively instantiate the grammar into Examples with traces."""
-    from .data import Example, content_id
-
     examples = []
-    for ast in iter_commands():
-        inp = ast.tokens()
-        out = interpret(ast)
+    for tree in iter_commands():
+        inp = _surface(tree)
+        out = interpret(tree)
         examples.append(Example(
             id=content_id(inp, out),
             input=inp,
             output=out,
-            derivation=derivation_trace(ast),
+            derivation=tree,
             meta={"source": "scan"},
         ))
     return examples

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -28,7 +29,12 @@ def test_scan_generate_reproducible(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert run(["scan", "generate", "--out", str(a)]) == 0
     assert run(["scan", "generate", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    content = a.read_bytes()
+    assert content == b.read_bytes()
+    # Golden: the published dataset file, pinned byte for byte.
+    assert len(content) == 8_037_862
+    assert hashlib.sha256(content).hexdigest() == (
+        "949e0b44926d280d8c32fab60647d2e3408caedc8f77ae52f01e1d84726d6def")
 
 
 def test_scan_interpret(tmp_path):
@@ -37,6 +43,13 @@ def test_scan_interpret(tmp_path):
     out = tmp_path / "acts.txt"
     assert run(["scan", "interpret", "--in", str(infile), "--out", str(out)]) == 0
     assert out.read_text() == "LTURN LTURN JUMP\nRUN WALK\n"
+
+
+def test_scan_interpret_error_names_line(tmp_path, capsys):
+    infile = tmp_path / "cmds.txt"
+    infile.write_text("jump\n\nwalk frob\n")
+    assert run(["scan", "interpret", "--in", str(infile)]) == 2
+    assert f"{infile}:3: unknown word 'frob' (at token 1)" in capsys.readouterr().err
 
 
 def test_split_subcommands(tmp_path, small_dataset):
@@ -119,13 +132,41 @@ def test_eval_score(tmp_path):
 def test_eval_report(tmp_path):
     infile = tmp_path / "results.json"
     infile.write_text(json.dumps({
-        "A": {"jump": {"mean": 98.8, "variance": 1.4, "kind": "stdev", "n": 5}},
+        "A": {"jump": {"split": "jump", "replica_accuracies": [], "mean": 0.988,
+                       "variance": 0.014, "variance_kind": "stdev", "n_replicas": 5}},
         "B": {"jump": None},
     }))
     out = tmp_path / "table.md"
     assert run(["eval", "report", "--in", str(infile), "--out", str(out)]) == 0
     table = out.read_text()
     assert "**98.8 ± 1.4**" in table and "| - |" in table
+
+
+def test_eval_score_output_feeds_report(tmp_path):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(
+        json.dumps({"id": "1", "input": ["a"], "output": ["A"]}) + "\n" +
+        json.dumps({"id": "2", "input": ["b"], "output": ["B"]}) + "\n")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(
+        json.dumps({"id": i, "prediction": [p], "replica": r}) + "\n"
+        for r, i, p in [(0, "1", "A"), (0, "2", "X"), (1, "1", "A"), (1, "2", "B")]))
+    score = tmp_path / "score.json"
+    assert run(["eval", "score", "--gold", str(gold), "--pred", str(pred),
+                "--out", str(score)]) == 0
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps({"M": {"s": json.loads(score.read_text())}}))
+    out = tmp_path / "table.md"
+    assert run(["eval", "report", "--in", str(results), "--out", str(out)]) == 0
+    assert "| M | **75.0 ± 35.4** |" in out.read_text()
+
+
+def test_eval_report_missing_key(tmp_path, capsys):
+    infile = tmp_path / "results.json"
+    infile.write_text('{"A": {\n  "jump": {"mean": 0.5, "variance": 0.1}\n}}\n')
+    assert run(["eval", "report", "--in", str(infile), "--out",
+                str(tmp_path / "t.md")]) == 2
+    assert f"{infile}:2: missing key 'variance_kind'" in capsys.readouterr().err
 
 
 def test_eval_curve(tmp_path):
@@ -137,6 +178,13 @@ def test_eval_curve(tmp_path):
     assert run(["eval", "curve", "--in", str(infile), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "divergence,accuracy,label" and lines[1].startswith("0.1")
+
+
+def test_eval_curve_missing_key(tmp_path, capsys):
+    infile = tmp_path / "points.json"
+    infile.write_text('[\n  {"divergence": 0.5, "accuracy": 0.1},\n  {"divergence": 0.1}\n]\n')
+    assert run(["eval", "curve", "--in", str(infile)]) == 2
+    assert f"{infile}:3: missing key 'accuracy'" in capsys.readouterr().err
 
 
 def test_error_exit_code(tmp_path):

@@ -10,7 +10,7 @@ from compgen import dbca, scan
 
 
 def trace_of(command):
-    return scan.derivation_trace(scan.parse_command(command))
+    return scan.parse_command(command)
 
 
 def test_extract_atoms_single_chain():

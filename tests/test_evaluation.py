@@ -164,6 +164,16 @@ def test_length_breakdown_weighted_average_consistency():
     assert math.isclose(weighted, overall, abs_tol=1e-12)
 
 
+def test_length_breakdown_clause_set():
+    gold = ex("g", "q", "M0 a M1 . M2 b M3")
+    pred = PredictionRecord("g", tuple("M2 b M3 . M0 a M1".split()))
+    (bucket,) = evaluation.length_breakdown([pred], [gold], [gold], bucket_width=10,
+                                            clause_set=True)
+    assert bucket.accuracy == 1.0
+    (bucket,) = evaluation.length_breakdown([pred], [gold], [gold], bucket_width=10)
+    assert bucket.accuracy == 0.0
+
+
 def test_divergence_curve_sorted_and_labeled():
     csv_text = evaluation.divergence_curve([
         (0.5, 0.2, "mcd"), (0.1, 0.9, "random"), (0.5, 0.3, "template")])

@@ -1,6 +1,7 @@
 import pytest
 
 from compgen import scan
+from compgen.data import DerivationTrace as T
 from oracle_scan import rewrite
 
 
@@ -9,18 +10,17 @@ def actions(command):
 
 
 def test_single_primitive():
-    ast = scan.parse_command("jump")
-    assert ast == scan.CommandAst("prim", "jump")
+    tree = scan.parse_command("jump")
+    assert tree == T(scan.ROOT_RULE, (T("prim_jump"),))
     assert actions("jump") == "JUMP"
 
 
 def test_repeat_and_conjunction_shape():
-    ast = scan.parse_command("jump twice and walk")
-    assert ast.kind == "and"
-    assert ast.children[0] == scan.CommandAst(
-        "repeat", 2, (scan.CommandAst("prim", "jump"),))
-    assert ast.children[1] == scan.CommandAst("prim", "walk")
-    assert scan.serialize(ast) == "jump twice and walk"
+    (tree,) = scan.parse_command("jump twice and walk").children
+    assert tree.rule == "and"
+    assert tree.children[0] == T("twice", (T("prim_jump"),))
+    assert tree.children[1] == T("prim_walk")
+    assert scan.serialize(tree) == "jump twice and walk"
 
 
 def test_paper_example():
@@ -41,20 +41,26 @@ def test_semantics(command, expected):
     assert " ".join(rewrite(command)) == expected
 
 
-@pytest.mark.parametrize("command", [
-    "jump and",
-    "and jump",
-    "turn",
-    "jump twice twice",
-    "jump blah",
-    "jump around",
-    "jump left right",
-    "jump and walk after run",
-    "",
-])
+# command -> index of the first token no grammatical command can continue
+# (the token count when the input ends early)
+PARSE_ERRORS = {
+    "jump and": 2,
+    "and jump": 0,
+    "turn": 1,
+    "jump twice twice": 2,
+    "jump blah": 1,
+    "jump around": 2,
+    "jump left right": 2,
+    "jump and walk after run": 3,
+    "": 0,
+}
+
+
+@pytest.mark.parametrize("command", list(PARSE_ERRORS))
 def test_parse_errors(command):
-    with pytest.raises(scan.ScanParseError):
+    with pytest.raises(scan.ScanParseError) as err:
         scan.parse_command(command)
+    assert err.value.position == PARSE_ERRORS[command]
 
 
 def test_parse_error_position():
@@ -70,6 +76,7 @@ def test_enumeration_count_and_consistency():
     assert len({ex.id for ex in dataset}) == len(dataset)
     for ex in dataset[::97]:
         ast = scan.parse_command(ex.input)
+        assert ast == ex.derivation
         assert scan.interpret(ast) == ex.output
         assert tuple(scan.serialize(ast).split()) == ex.input
 
@@ -81,18 +88,24 @@ def test_enumeration_deterministic():
 
 
 def test_no_nested_conjunction():
-    for ast in scan.iter_commands():
-        for child in ast.children:
+    for tree in scan.iter_commands():
+        (command,) = tree.children
+        for child in command.children:
             for node in [child, *child.children]:
-                assert node.kind not in ("and", "after")
+                assert node.rule not in ("and", "after")
+
+
+def test_every_command_parses_back():
+    for tree in scan.iter_commands():
+        assert scan.parse_command(scan.serialize(tree)) == tree
 
 
 def test_trace_replay():
     for command in ["jump", "turn around left thrice after walk right",
                     "look opposite right twice and run"]:
-        ast = scan.parse_command(command)
-        trace = scan.derivation_trace(ast)
-        assert scan.replay_trace(trace) == ast
+        trace = scan.parse_command(command)
+        assert T.from_jsonable(trace.to_jsonable()) == trace
+        assert scan.serialize(trace) == command
         assert trace.rule == scan.ROOT_RULE
 
 
