@@ -4,8 +4,8 @@ Subcommands compose via files only; every run that writes an output file
 also writes a `<output>.manifest.json` with the resolved configuration and
 content hashes of inputs and outputs, so results stay auditable and
 reproducible.  The default for --seed can be overridden with the
-COMPGEN_SEED environment variable.  Bad input ends in an error that names
-the file and line, with exit code 2.
+COMPGEN_SEED environment variable, which must then be an integer.  Bad
+input ends in an error that names the file and line, with exit code 2.
 """
 
 from __future__ import annotations
@@ -17,16 +17,19 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, data, dbca, evaluation, scan, splits, sparql
 
 
-def _env_int(name: str, default: int) -> int:
+def _seed(text: str) -> int:
     try:
-        return int(os.environ[f"COMPGEN_{name}"])
-    except (KeyError, ValueError):
-        return default
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer (from --seed, or COMPGEN_SEED when "
+            "--seed is not given)") from None
 
 
 def _sha256(path) -> str:
@@ -137,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = split_sub.add_parser("random")
     split_common(p)
-    p.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    p.add_argument("--seed", type=_seed, default=os.environ.get("COMPGEN_SEED", "0"))
     p.add_argument("--train-fraction", type=float, default=0.8)
     p = split_sub.add_parser("primitive")
     split_common(p)
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=int, default=22)
     p = split_sub.add_parser("mcd")
     split_common(p)
-    p.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    p.add_argument("--seed", type=_seed, default=os.environ.get("COMPGEN_SEED", "0"))
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--target", type=float, default=1.0,
                    help="target compound divergence")
@@ -330,14 +333,24 @@ def _cmd_prep(args) -> int:
     return 0
 
 
+@contextmanager
+def _naming(path):
+    """Prefix an EvalError about a prediction file with its path."""
+    try:
+        yield
+    except evaluation.EvalError as exc:
+        raise evaluation.EvalError(f"{path}: {exc}") from exc
+
+
 def _cmd_eval(args) -> int:
     sc = args.subcommand
     if sc == "score":
         golds = data.load_dataset(args.gold)
         preds = data.load_predictions(args.pred)
-        per_replica = evaluation.score_replicas(
-            preds, golds, relax_oov_braces=args.relax_braces,
-            oov_token=args.oov_token, clause_set=args.clause_set)
+        with _naming(args.pred):
+            per_replica = evaluation.score_replicas(
+                preds, golds, relax_oov_braces=args.relax_braces,
+                oov_token=args.oov_token, clause_set=args.clause_set)
         accs = list(per_replica.values())
         agg = evaluation.aggregate_replicas(accs, args.variance)
         report = evaluation.EvalReport(args.split_name, tuple(accs), agg)
@@ -371,8 +384,9 @@ def _cmd_eval(args) -> int:
         golds = data.load_dataset(args.gold)
         train = data.load_dataset(args.train)
         preds = data.load_predictions(args.pred)
-        buckets = evaluation.length_breakdown(preds, golds, train,
-                                              args.bucket_width, args.axis)
+        with _naming(args.pred):
+            buckets = evaluation.length_breakdown(preds, golds, train,
+                                                  args.bucket_width, args.axis)
         lines = ["low,high,train_count,test_count,accuracy,unseen_length"]
         for b in buckets:
             acc = "" if b.accuracy is None else f"{b.accuracy:g}"

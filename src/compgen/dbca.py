@@ -6,6 +6,7 @@ splits with a bounded atom divergence."""
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -117,71 +118,75 @@ def measure(train: Sequence[Example], test: Sequence[Example],
     )
 
 
-class _SideCounts:
-    """Unnormalized key counts for one side of the partition, with the
-    Chernoff sums maintained incrementally across swaps."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self):
-        self.counts = {}
-        self.total = 0.0
-
-    def add(self, delta: Counter, sign: int):
-        counts = self.counts
-        for k, v in delta.items():
-            new = counts.get(k, 0.0) + sign * v
-            if new <= 0:
-                counts.pop(k, None)
-            else:
-                counts[k] = new
-            self.total += sign * v
+def _id_rows(counters) -> list[tuple]:
+    """Each Counter as a tuple of (id, count) pairs, with keys numbered in
+    first-seen order; equal pairs are one shared tuple."""
+    ids, pairs = {}, {}
+    return [tuple(pairs.setdefault(p, p) for p in
+                  [(ids.setdefault(k, len(ids)), v) for k, v in counts.items()])
+            for counts in counters]
 
 
 class _Divergence:
-    """Incremental 1 - sum((c/C)^a * (d/D)^(1-a)) over a train/test pair of
-    count maps."""
+    """1 - sum((c/C)^a * (d/D)^(1-a)) over the integer key counts c (train)
+    and d (test) of a partition.  propose() scores a swap from its net
+    per-key delta; the state changes only on commit()."""
 
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.train = _SideCounts()
-        self.test = _SideCounts()
-        self.chernoff_sum = 0.0
-
-    def init_sum(self):
-        a = self.alpha
-        c, d = self.train.counts, self.test.counts
-        self.chernoff_sum = sum(v ** a * d[k] ** (1 - a)
-                                for k, v in c.items() if k in d)
-
-    def _term(self, k) -> float:
-        c = self.train.counts.get(k, 0.0)
-        if c <= 0:
-            return 0.0
-        d = self.test.counts.get(k, 0.0)
-        if d <= 0:
-            return 0.0
-        return c ** self.alpha * d ** (1 - self.alpha)
+    def __init__(self, rows: Sequence[tuple], train_idx, test_idx, alpha: float):
+        self.rows, self.alpha = rows, alpha
+        self.sizes = [sum(v for _, v in row) for row in rows]
+        n = 1 + max((k for row in rows for k, _ in row), default=-1)
+        self.train, self.test = [0] * n, [0] * n
+        for side, idx in ((self.train, train_idx), (self.test, test_idx)):
+            for i in idx:
+                for k, v in rows[i]:
+                    side[k] += v
+        self.train_total, self.test_total = sum(self.train), sum(self.test)
+        # c**a and d**(1-a) for every count a key can reach; 0 for count 0.
+        top = max((c + d for c, d in zip(self.train, self.test)), default=0)
+        self.pow_train = array("d", [0.0] + [float(c) ** alpha for c in range(1, top + 1)])
+        self.pow_test = array("d", [0.0] + [float(d) ** (1 - alpha) for d in range(1, top + 1)])
+        pa, pb = self.pow_train, self.pow_test
+        self.chernoff_sum = sum(pa[c] * pb[d] for c, d in zip(self.train, self.test))
+        self._pending = None
 
     def value(self) -> float:
-        if self.train.total <= 0 or self.test.total <= 0:
+        return self._value(self.chernoff_sum, self.train_total, self.test_total)
+
+    def _value(self, chernoff_sum: float, train_total: int, test_total: int) -> float:
+        if train_total <= 0 or test_total <= 0:
             return 1.0
-        norm = self.train.total ** self.alpha * self.test.total ** (1 - self.alpha)
-        return min(max(1.0 - self.chernoff_sum / norm, 0.0), 1.0)
+        norm = train_total ** self.alpha * test_total ** (1 - self.alpha)
+        return min(max(1.0 - chernoff_sum / norm, 0.0), 1.0)
 
-    def apply_swap(self, out_delta: Counter, in_delta: Counter):
-        """Move out_delta from train to test and in_delta from test to train."""
-        keys = set(out_delta) | set(in_delta)
-        before = sum(self._term(k) for k in keys)
-        self.train.add(out_delta, -1)
-        self.train.add(in_delta, +1)
-        self.test.add(out_delta, +1)
-        self.test.add(in_delta, -1)
-        after = sum(self._term(k) for k in keys)
-        self.chernoff_sum += after - before
+    def propose(self, out_i: int, in_i: int) -> float:
+        """The value after moving example out_i from train to test and
+        example in_i from test to train."""
+        delta = dict(self.rows[out_i])
+        for k, v in self.rows[in_i]:
+            delta[k] = delta.get(k, 0) - v
+        train, test, pa, pb = self.train, self.test, self.pow_train, self.pow_test
+        before = after = 0.0
+        for k, v in delta.items():
+            if v:
+                c, d = train[k], test[k]
+                before += pa[c] * pb[d]
+                after += pa[c - v] * pb[d + v]
+        chernoff_sum = self.chernoff_sum + (after - before)
+        shift = self.sizes[out_i] - self.sizes[in_i]
+        self._pending = delta, chernoff_sum, shift
+        return self._value(chernoff_sum, self.train_total - shift,
+                           self.test_total + shift)
 
-    def revert_swap(self, out_delta: Counter, in_delta: Counter):
-        self.apply_swap(in_delta, out_delta)
+    def commit(self):
+        """Apply the last proposal."""
+        delta, self.chernoff_sum, shift = self._pending
+        train, test = self.train, self.test
+        for k, v in delta.items():
+            train[k] -= v
+            test[k] += v
+        self.train_total -= shift
+        self.test_total += shift
 
 
 def build_mcd_split(examples: Sequence[Example],
@@ -202,7 +207,16 @@ def build_mcd_split(examples: Sequence[Example],
     proposes train/test example swaps and accepts strict improvements of
     |compound divergence - target| that keep the atom bound.  Stops after
     `iterations` consecutive proposals without improvement or after
-    max_proposals in total.  Deterministic for a fixed seed.
+    max_proposals in total.
+
+    The search state is integer: atoms and compounds are numbered in
+    first-seen order over `examples`, each example is a tuple of (id, count)
+    pairs, and each side holds its counts in int lists.  A proposal is
+    scored from the net per-key delta of the swap, with c**a and d**(1-a)
+    read from tables, and changes nothing unless it is accepted; the
+    compound side is scored only when the atom test passes.  No step
+    depends on hash order, so the split is a function of the arguments.
+    The final partition is measured afresh with `measure`.
     """
     if not 0 <= target_compound_divergence <= 1:
         raise DbcaError("target compound divergence must be in [0, 1]")
@@ -214,9 +228,6 @@ def build_mcd_split(examples: Sequence[Example],
     if len(examples) < 2:
         raise DbcaError("need at least two examples")
 
-    atom_counts = [extract_atoms(ex.derivation) for ex in examples]
-    comp_counts = [extract_compounds(ex.derivation) for ex in examples]
-
     rng = random.Random(seed)
     order = list(range(len(examples)))
     rng.shuffle(order)
@@ -224,21 +235,12 @@ def build_mcd_split(examples: Sequence[Example],
     cut = min(max(cut, 1), len(order) - 1)
     train_idx, test_idx = order[:cut], order[cut:]
 
-    atoms = _Divergence(atom_alpha)
-    comps = _Divergence(compound_alpha)
-    for i in train_idx:
-        atoms.train.add(atom_counts[i], +1)
-        comps.train.add(comp_counts[i], +1)
-    for i in test_idx:
-        atoms.test.add(atom_counts[i], +1)
-        comps.test.add(comp_counts[i], +1)
-    atoms.init_sum()
-    comps.init_sum()
+    atoms = _Divergence(_id_rows(extract_atoms(ex.derivation) for ex in examples),
+                        train_idx, test_idx, atom_alpha)
+    comps = _Divergence(_id_rows(extract_compounds(ex.derivation) for ex in examples),
+                        train_idx, test_idx, compound_alpha)
 
-    def objective() -> float:
-        return abs(comps.value() - target_compound_divergence)
-
-    cur_obj = objective()
+    cur_obj = abs(comps.value() - target_compound_divergence)
     cur_atom = atoms.value()
     no_improve = 0
     proposals = 0
@@ -247,27 +249,19 @@ def build_mcd_split(examples: Sequence[Example],
         ti = rng.randrange(len(train_idx))
         si = rng.randrange(len(test_idx))
         out_i, in_i = train_idx[ti], test_idx[si]
-        a_out, a_in = atom_counts[out_i], atom_counts[in_i]
-        c_out, c_in = comp_counts[out_i], comp_counts[in_i]
-
-        atoms.apply_swap(a_out, a_in)
-        comps.apply_swap(c_out, c_in)
-        new_atom = atoms.value()
-        new_obj = objective()
-
-        if cur_atom > max_atom_divergence:
-            # Repair phase: first get under the atom bound.
-            accept = new_atom < cur_atom - 1e-12
-        else:
-            accept = new_atom <= max_atom_divergence and new_obj < cur_obj - 1e-12
-        if accept:
-            train_idx[ti], test_idx[si] = in_i, out_i
-            cur_obj, cur_atom = new_obj, new_atom
-            no_improve = 0
-        else:
-            atoms.revert_swap(a_out, a_in)
-            comps.revert_swap(c_out, c_in)
-            no_improve += 1
+        new_atom = atoms.propose(out_i, in_i)
+        # Repair phase: first get under the atom bound.
+        repairing = cur_atom > max_atom_divergence
+        if new_atom < cur_atom - 1e-12 if repairing else new_atom <= max_atom_divergence:
+            new_obj = abs(comps.propose(out_i, in_i) - target_compound_divergence)
+            if repairing or new_obj < cur_obj - 1e-12:
+                atoms.commit()
+                comps.commit()
+                train_idx[ti], test_idx[si] = in_i, out_i
+                cur_obj, cur_atom = new_obj, new_atom
+                no_improve = 0
+                continue
+        no_improve += 1
 
     train = [examples[i] for i in sorted(train_idx)]
     test = [examples[i] for i in sorted(test_idx)]

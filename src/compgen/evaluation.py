@@ -186,6 +186,8 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     for rec in predictions:
         if rec.example_id not in gold_map:
             raise EvalError(f"prediction for unknown id {rec.example_id!r}")
+        if rec.example_id in matched:
+            raise EvalError(f"multiple predictions for id {rec.example_id!r}")
         matched[rec.example_id] = _match(rec.tokens, gold_map[rec.example_id],
                                          **match_options)
 

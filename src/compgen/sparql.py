@@ -265,7 +265,8 @@ def ir_decode(ir_text: str, level: str) -> SparqlQuery:
     constraints = []
     while stream.peek() is not None and stream.peek() != ".":
         subject = stream.next()
-        if subject in _RESERVED:
+        # A triple whose subject is FILTER would re-parse as a constraint.
+        if subject in _RESERVED or subject.upper() == "FILTER":
             raise IrDecodeError(f"expected a subject, got {subject!r}")
         stream.next("{")
         entries = []
@@ -308,6 +309,10 @@ def ir_decode(ir_text: str, level: str) -> SparqlQuery:
             clause.append(stream.next())
         if not clause:
             raise IrDecodeError("empty constraint clause")
+        # Only what parse_sparql reads as a FILTER clause, as the encoder
+        # carries nothing else through.
+        if clause[0].upper() != "FILTER" or _RESERVED.intersection(clause):
+            raise IrDecodeError(f"unsupported constraint clause {' '.join(clause)!r}")
         constraints.append(tuple(clause))
     if not groups:
         raise IrDecodeError("no clause groups")

@@ -199,3 +199,32 @@ def test_env_seed_override(tmp_path, small_dataset, monkeypatch):
                                       "--in", str(small_dataset),
                                       "--out", str(tmp_path / "o.json")])
     assert args.seed == 17
+
+
+def test_env_seed_not_an_integer(tmp_path, small_dataset, monkeypatch, capsys):
+    monkeypatch.setenv("COMPGEN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["split", "random", "--in", str(small_dataset), "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "COMPGEN_SEED" in capsys.readouterr().err
+    # An explicit --seed, or a subcommand without one, does not read it.
+    assert run(["split", "random", "--in", str(small_dataset),
+                "--out", str(tmp_path / "r.json"), "--seed", "3"]) == 0
+    assert run(["split", "primitive", "--in", str(small_dataset),
+                "--out", str(tmp_path / "p.json"), "--primitive", "jump"]) == 0
+
+
+def test_eval_prediction_errors_name_file(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"id": "1", "input": ["a"], "output": ["A"]}) + "\n")
+    rows = [json.dumps({"id": "1", "prediction": [tok], "replica": r})
+            for r, tok in enumerate(["A", "X"])]
+    for name, lines in (("ax.jsonl", rows), ("xa.jsonl", rows[::-1])):
+        pred = tmp_path / name
+        pred.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "length-breakdown", "--gold", str(gold), "--pred", str(pred),
+                    "--train", str(gold)]) == 2
+        assert f"{pred}: multiple predictions for id '1'" in capsys.readouterr().err
+    pred.write_text(json.dumps({"id": "9", "prediction": ["A"]}) + "\n")
+    assert run(["eval", "score", "--gold", str(gold), "--pred", str(pred)]) == 2
+    assert f"{pred}: prediction for unknown id '9'" in capsys.readouterr().err

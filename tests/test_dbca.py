@@ -1,6 +1,12 @@
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +132,63 @@ def test_divergence_relabel_invariant(p, q, alpha):
 def _small_sample(scan_dataset, n=400, seed=3):
     rng = random.Random(seed)
     return rng.sample(scan_dataset, n)
+
+
+def test_incremental_divergence_matches_divergence(scan_dataset):
+    sample = _small_sample(scan_dataset)
+    rng = random.Random(11)
+    order = list(range(len(sample)))
+    rng.shuffle(order)
+    train_idx, test_idx = order[:320], order[320:]
+    for extract, alpha in ((dbca.extract_atoms, dbca.DEFAULT_ATOM_ALPHA),
+                           (dbca.extract_compounds, dbca.DEFAULT_COMPOUND_ALPHA)):
+        rows = dbca._id_rows(extract(ex.derivation) for ex in sample)
+        state = dbca._Divergence(rows, train_idx, test_idx, alpha)
+        train, test = list(train_idx), list(test_idx)
+        for _ in range(300):
+            ti, si = rng.randrange(len(train)), rng.randrange(len(test))
+            state.propose(train[ti], test[si])
+            state.commit()
+            train[ti], test[si] = test[si], train[ti]
+        expected = dbca.divergence(
+            dbca._normalize(sum((extract(sample[i].derivation) for i in train), Counter())),
+            dbca._normalize(sum((extract(sample[i].derivation) for i in test), Counter())),
+            alpha)
+        assert abs(state.value() - expected) < 1e-9
+
+
+def test_incremental_proposal_leaves_state_unchanged(scan_dataset):
+    sample = _small_sample(scan_dataset)
+    rows = dbca._id_rows(dbca.extract_compounds(ex.derivation) for ex in sample)
+    state = dbca._Divergence(rows, range(300), range(300, 400), 0.1)
+    before = (list(state.train), list(state.test), state.chernoff_sum, state.value())
+    state.propose(0, 399)
+    assert (list(state.train), list(state.test), state.chernoff_sum,
+            state.value()) == before
+
+
+# The MCD split below, as computed before the search state became integer:
+# sha256 of the JSON text of [train_ids, test_ids].
+MCD_SAMPLE_SHA256 = "3d7d4702a4904866efd40a334bffd205cced10bbea836d4b54d0b18a7804a353"
+MCD_SAMPLE_SCRIPT = """
+import json, random
+from compgen import dbca, scan
+sample = random.Random(3).sample(scan.enumerate_dataset(), 400)
+result, _ = dbca.build_mcd_split(sample, seed=5, iterations=300, max_proposals=5000)
+print(json.dumps([list(result.train_ids), list(result.test_ids)]))
+"""
+
+
+def test_mcd_output_independent_of_hash_seed():
+    src = str(Path(dbca.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", MCD_SAMPLE_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout.strip())
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == MCD_SAMPLE_SHA256
 
 
 def test_mcd_deterministic(scan_dataset):

@@ -174,6 +174,14 @@ def test_length_breakdown_clause_set():
     assert bucket.accuracy == 0.0
 
 
+def test_length_breakdown_repeated_id():
+    gold = ex("g", "a", "A")
+    right, wrong = PredictionRecord("g", ("A",), 0), PredictionRecord("g", ("X",), 1)
+    for preds in ([right, wrong], [wrong, right]):
+        with pytest.raises(evaluation.EvalError, match="multiple predictions for id 'g'"):
+            evaluation.length_breakdown(preds, [gold], [gold])
+
+
 def test_divergence_curve_sorted_and_labeled():
     csv_text = evaluation.divergence_curve([
         (0.5, 0.2, "mcd"), (0.1, 0.9, "random"), (0.5, 0.3, "template")])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compgen import sparql
 
@@ -80,6 +82,58 @@ def test_single_clause_degenerate():
 def test_decode_errors(bad):
     with pytest.raises(sparql.IrDecodeError):
         sparql.ir_decode(bad, "f2")
+
+
+def test_decode_accepts_only_filter_after_groups():
+    with pytest.raises(sparql.IrDecodeError):
+        sparql.ir_decode("M0 { a M1 } . ?x0 a M2", "f1")
+    for bad in ("FILTER ( M0 , M1 )", "FILTER } M0", "filter {"):
+        with pytest.raises(sparql.IrDecodeError):
+            sparql.ir_decode(f"M0 {{ a M1 }} . {bad}", "f2")
+    # A group whose subject is FILTER would re-parse as a constraint.
+    for bad in ("FILTER { a b }", "M0 { a M1 } filter { a { b } }"):
+        with pytest.raises(sparql.IrDecodeError):
+            sparql.ir_decode(bad, "f2")
+    decoded = sparql.ir_decode("M0 { a M1 } . FILTER ( M0 != M1 )", "f1")
+    assert decoded.constraints == (("FILTER", "(", "M0", "!=", "M1", ")"),)
+
+
+IR_VOCAB = ["{", "}", ".", ",", "FILTER", "filter", "(", ")", "!=", "SELECT",
+            "ASK", "WHERE", "DISTINCT", "count(*)", "M0", "M1", "?x0", "a",
+            "directed"]
+
+
+@st.composite
+def ir_token_sequences(draw):
+    """Token lists near the encoder's image: the IR of a random query with a
+    few tokens replaced, inserted or deleted, or an arbitrary list."""
+    level = draw(st.sampled_from(sparql.IR_LEVELS))
+    if draw(st.booleans()):
+        return level, draw(st.lists(st.sampled_from(IR_VOCAB), min_size=1, max_size=16))
+    query = random_query(random.Random(draw(st.integers(0, 2 ** 16))))
+    tokens = sparql.serialize_ir(sparql.ir_encode(query, level)).split()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or i == len(tokens):
+            tokens.insert(i, draw(st.sampled_from(IR_VOCAB)))
+        elif op == "replace":
+            tokens[i] = draw(st.sampled_from(IR_VOCAB))
+        elif len(tokens) > 1:
+            del tokens[i]
+    return level, tokens
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ir_token_sequences())
+def test_decode_rejects_or_reparses_to_same_clause_set(case):
+    level, tokens = case
+    try:
+        decoded = sparql.ir_decode(" ".join(tokens), level)
+    except sparql.IrDecodeError:
+        return
+    again = sparql.parse_sparql(sparql.serialize_sparql(decoded))
+    assert sparql.clause_set_equal(again, decoded)
 
 
 def test_serialize_parse_clause_set_equal():
