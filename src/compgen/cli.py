@@ -1,21 +1,22 @@
 """Command line entry point.
 
-Subcommands compose via files only; every run that writes an output file
-also writes a `<output>.manifest.json` with the resolved configuration and
-content hashes of inputs and outputs, so results stay auditable and
-reproducible.  The default for --seed can be overridden with the
-COMPGEN_SEED environment variable, which must then be an integer.  Bad
-input ends in an error that names the file and line, with exit code 2.
+Subcommands compose via files only.  Each leaf subcommand is one function,
+the `run` default of its parser: it returns its output text, or writes its
+own dataset or split file.  run() writes the text to --out or stdout, and
+for a run with --out also `<out>.manifest.json`: its config lists every
+parsed option that is not a path, and it holds the sha256 of every input
+and output file, so results stay auditable and reproducible.  The default
+for --seed can be overridden with the COMPGEN_SEED environment variable,
+which must then be an integer.  Bad input ends in an error that names the
+file and line, with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import bisect
 import hashlib
 import json
 import os
-import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -40,24 +41,33 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command: str, config: dict, inputs: list) -> None:
+# The input-file options; together with --out they are the path options,
+# which a manifest records as hashes rather than in its config.
+_INPUTS = ("infile", "split", "gold", "pred", "train")
+_NOT_CONFIG = {"command", "subcommand", "run", "out", *_INPUTS}
+
+
+def _write_manifest(args) -> None:
+    options = vars(args)
     manifest = {
         "tool": "compgen",
         "version": __version__,
-        "command": command,
-        "config": {k: v for k, v in sorted(config.items())},
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(out_path): _sha256(out_path)},
+        "command": f"{args.command} {args.subcommand}",
+        "config": {k: v for k, v in sorted(options.items()) if k not in _NOT_CONFIG},
+        "inputs": {str(options[k]): _sha256(options[k]) for k in _INPUTS
+                   if options.get(k) is not None},
+        "outputs": {str(args.out): _sha256(args.out)},
     }
-    Path(str(out_path) + ".manifest.json").write_text(
+    Path(str(args.out) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _map_lines(fn, path) -> str:
     """Apply fn to each non-blank line of the file (stdin when path is None).
     A ValueError from fn is reported with the file and the line number,
-    counting blank lines."""
+    counting blank lines; input without a non-blank line is an error."""
     text = sys.stdin.read() if path is None else Path(path).read_text(encoding="utf-8")
+    name = "<stdin>" if path is None else path
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -65,272 +75,10 @@ def _map_lines(fn, path) -> str:
         try:
             out.append(fn(line) + "\n")
         except ValueError as exc:
-            name = "<stdin>" if path is None else path
             raise data.DataError(f"{name}:{lineno}: {exc}") from exc
+    if not out:
+        raise data.DataError(f"{name}: no lines")
     return "".join(out)
-
-
-def _read_json(path):
-    """Parse a JSON file.  Also return require(value, *keys, parent): the
-    values of keys in the object value, or an EvalError that names the file
-    and the line where value starts (where parent starts, when value is not
-    an object or array)."""
-    text = Path(path).read_text(encoding="utf-8")
-    newlines = [m.start() for m in re.finditer("\n", text)]
-    lines = {}
-
-    def located(parse):
-        def parse_located(s_and_end, *args):
-            value, end = parse(s_and_end, *args)
-            lines[id(value)] = bisect.bisect(newlines, s_and_end[1]) + 1
-            return value, end
-        return parse_located
-
-    decoder = json.JSONDecoder()
-    decoder.parse_object = located(json.decoder.JSONObject)
-    decoder.parse_array = located(json.decoder.JSONArray)
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    try:
-        value = decoder.decode(text)
-    except json.JSONDecodeError as exc:
-        raise evaluation.EvalError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-
-    def require(value, *keys, parent=None):
-        container = value if isinstance(value, (dict, list)) else parent
-        where = f"{path}:{lines.get(id(container), 1)}"
-        if not isinstance(value, dict):
-            raise evaluation.EvalError(f"{where}: expected a JSON object")
-        for key in keys:
-            if key not in value:
-                raise evaluation.EvalError(f"{where}: missing key {key!r}")
-        return [value[key] for key in keys]
-
-    return value, require
-
-
-def _write_text(text: str, path, command: str, config: dict, inputs: list) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    Path(path).write_text(text, encoding="utf-8")
-    _write_manifest(path, command, config, inputs)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="compgen-toolkit")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    scan_p = sub.add_parser("scan", help="dataset generation and interpretation")
-    scan_sub = scan_p.add_subparsers(dest="subcommand", required=True)
-    gen = scan_sub.add_parser("generate", help="enumerate the full dataset")
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    interp = scan_sub.add_parser("interpret",
-                                 help="map commands (one per line) to actions")
-    interp.add_argument("--in", dest="infile", default=None)
-    interp.add_argument("--out", default=None)
-
-    split_p = sub.add_parser("split", help="train/test split construction")
-    split_sub = split_p.add_subparsers(dest="subcommand", required=True)
-
-    def split_common(p):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", required=True)
-
-    p = split_sub.add_parser("random")
-    split_common(p)
-    p.add_argument("--seed", type=_seed, default=os.environ.get("COMPGEN_SEED", "0"))
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p = split_sub.add_parser("primitive")
-    split_common(p)
-    p.add_argument("--primitive", required=True)
-    p = split_sub.add_parser("subcommand")
-    split_common(p)
-    p.add_argument("--phrase", required=True)
-    p = split_sub.add_parser("template")
-    split_common(p)
-    p.add_argument("--template", required=True)
-    p = split_sub.add_parser("length")
-    split_common(p)
-    p.add_argument("--max-length", type=int, default=22)
-    p = split_sub.add_parser("mcd")
-    split_common(p)
-    p.add_argument("--seed", type=_seed, default=os.environ.get("COMPGEN_SEED", "0"))
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--target", type=float, default=1.0,
-                   help="target compound divergence")
-    p.add_argument("--max-atom-div", type=float, default=0.02)
-    p.add_argument("--iterations", type=int, default=20000,
-                   help="proposals without improvement before stopping")
-    p.add_argument("--atom-alpha", type=float, default=dbca.DEFAULT_ATOM_ALPHA)
-    p.add_argument("--compound-alpha", type=float,
-                   default=dbca.DEFAULT_COMPOUND_ALPHA)
-    p.add_argument("--report", default=None,
-                   help="divergence report path (default <out>.divergence.json)")
-
-    dbca_p = sub.add_parser("dbca", help="divergence analysis of a split")
-    dbca_sub = dbca_p.add_subparsers(dest="subcommand", required=True)
-    p = dbca_sub.add_parser("analyze", help="measure divergences of an "
-                            "existing (e.g. released) split id list")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--atom-alpha", type=float, default=dbca.DEFAULT_ATOM_ALPHA)
-    p.add_argument("--compound-alpha", type=float,
-                   default=dbca.DEFAULT_COMPOUND_ALPHA)
-
-    ir_p = sub.add_parser("ir", help="intermediate SPARQL representations")
-    ir_sub = ir_p.add_subparsers(dest="subcommand", required=True)
-    for name in ("encode", "decode"):
-        p = ir_sub.add_parser(name)
-        p.add_argument("--level", choices=list(sparql.IR_LEVELS), required=True)
-        p.add_argument("--in", dest="infile", default=None)
-        p.add_argument("--out", default=None)
-
-    prep_p = sub.add_parser("prep", help="dataset preprocessing")
-    prep_sub = prep_p.add_subparsers(dest="subcommand", required=True)
-    p = prep_sub.add_parser("cgps-prefix", help="prepend placeholder tokens "
-                            "for non-mappable output tokens")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--token-map", default=None,
-                   help="'scan' for the built-in SCAN map, or a JSON file "
-                   "mapping input tokens to output token lists")
-    p.add_argument("--identity", action="store_true",
-                   help="treat output tokens equal to an input token as "
-                   "mappable (the CFQ default)")
-    p.add_argument("--global-length", action="store_true",
-                   help="use one fixed prefix length (the dataset maximum)")
-
-    eval_p = sub.add_parser("eval", help="prediction scoring and reporting")
-    eval_sub = eval_p.add_subparsers(dest="subcommand", required=True)
-    p = eval_sub.add_parser("score")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--relax-braces", action="store_true")
-    p.add_argument("--oov-token", default=evaluation.DEFAULT_OOV_TOKEN)
-    p.add_argument("--clause-set", action="store_true")
-    p.add_argument("--variance", default="stdev",
-                   choices=["stdev", "ci95", "ci95_bootstrap"])
-    p.add_argument("--split-name", default="split")
-    p.add_argument("--out", default=None)
-    p = eval_sub.add_parser("report")
-    p.add_argument("--in", dest="infile", required=True,
-                   help="JSON: {model: {split: <eval score output> | null}}")
-    p.add_argument("--out", required=True)
-    p = eval_sub.add_parser("length-breakdown")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--bucket-width", type=int, default=5)
-    p.add_argument("--axis", choices=["input", "output"], default="output")
-    p.add_argument("--out", default=None)
-    p = eval_sub.add_parser("curve")
-    p.add_argument("--in", dest="infile", required=True,
-                   help="JSON list of {divergence, accuracy, label}")
-    p.add_argument("--out", default=None)
-    return parser
-
-
-def _cmd_scan(args) -> int:
-    if args.subcommand == "generate":
-        examples = scan.enumerate_dataset()
-        data.save_dataset(examples, args.out, args.format)
-        _write_manifest(args.out, "scan generate",
-                        {"format": args.format}, [])
-        return 0
-    text = _map_lines(lambda line: " ".join(scan.interpret(scan.parse_command(line))),
-                      args.infile)
-    _write_text(text, args.out, "scan interpret", {},
-                [args.infile] if args.infile else [])
-    return 0
-
-
-def _cmd_split(args) -> int:
-    dataset = data.load_dataset(args.infile)
-    sc = args.subcommand
-    if sc == "random":
-        result = splits.build_random_split(dataset, args.seed, args.train_fraction)
-        config = {"seed": args.seed, "train_fraction": args.train_fraction}
-    elif sc == "primitive":
-        result = splits.build_primitive_holdout(dataset, args.primitive)
-        config = {"primitive": args.primitive}
-    elif sc == "subcommand":
-        result = splits.build_subcommand_holdout(dataset, args.phrase)
-        config = {"phrase": args.phrase}
-    elif sc == "template":
-        result = splits.build_template_holdout(dataset, args.template)
-        config = {"template": args.template}
-    elif sc == "length":
-        result = splits.build_length_split(dataset, args.max_length)
-        config = {"max_length": args.max_length}
-    else:  # mcd
-        config = {"seed": args.seed, "train_fraction": args.train_fraction,
-                  "target": args.target, "max_atom_div": args.max_atom_div,
-                  "iterations": args.iterations, "atom_alpha": args.atom_alpha,
-                  "compound_alpha": args.compound_alpha}
-        result, report = dbca.build_mcd_split(
-            dataset, target_compound_divergence=args.target,
-            max_atom_divergence=args.max_atom_div, seed=args.seed,
-            iterations=args.iterations, train_fraction=args.train_fraction,
-            atom_alpha=args.atom_alpha, compound_alpha=args.compound_alpha)
-        report_path = args.report or args.out + ".divergence.json"
-        Path(report_path).write_text(
-            json.dumps(report.to_jsonable(), indent=2) + "\n", encoding="utf-8")
-        _write_manifest(report_path, "split mcd", config, [args.infile])
-    splits.save_split(result, args.out)
-    _write_manifest(args.out, f"split {sc}", config, [args.infile])
-    return 0
-
-
-def _cmd_dbca(args) -> int:
-    dataset = data.load_dataset(args.infile)
-    by_id = {ex.id: ex for ex in dataset}
-    split = splits.load_split(args.split)
-    try:
-        train = [by_id[i] for i in split.train_ids]
-        test = [by_id[i] for i in split.test_ids]
-    except KeyError as exc:
-        raise data.DataError(f"split references unknown id {exc.args[0]!r}")
-    report = dbca.measure(train, test, args.atom_alpha, args.compound_alpha)
-    text = json.dumps(report.to_jsonable(), indent=2) + "\n"
-    _write_text(text, args.out, "dbca analyze",
-                {"atom_alpha": args.atom_alpha,
-                 "compound_alpha": args.compound_alpha},
-                [args.infile, args.split])
-    return 0
-
-
-def _cmd_ir(args) -> int:
-    def convert(line):
-        if args.subcommand == "encode":
-            return sparql.serialize_ir(sparql.ir_encode(sparql.parse_sparql(line), args.level))
-        return sparql.serialize_sparql(sparql.ir_decode(line, args.level))
-
-    text = _map_lines(convert, args.infile)
-    _write_text(text, args.out, f"ir {args.subcommand}", {"level": args.level},
-                [args.infile] if args.infile else [])
-    return 0
-
-
-def _cmd_prep(args) -> int:
-    dataset = data.load_dataset(args.infile)
-    token_map = None
-    if args.token_map == "scan":
-        token_map = data.SCAN_TOKEN_MAP
-    elif args.token_map:
-        raw = json.loads(Path(args.token_map).read_text(encoding="utf-8"))
-        token_map = {k: tuple(v) for k, v in raw.items()}
-    if token_map is None and not args.identity:
-        raise data.DataError("need --token-map and/or --identity")
-    prefixed = data.cgps_prefix_dataset(dataset, token_map, args.identity,
-                                        args.global_length)
-    data.save_dataset(prefixed, args.out)
-    _write_manifest(args.out, "prep cgps-prefix",
-                    {"token_map": args.token_map, "identity": args.identity,
-                     "global_length": args.global_length}, [args.infile])
-    return 0
 
 
 @contextmanager
@@ -342,89 +90,235 @@ def _naming(path):
         raise evaluation.EvalError(f"{path}: {exc}") from exc
 
 
-def _cmd_eval(args) -> int:
-    sc = args.subcommand
-    if sc == "score":
-        golds = data.load_dataset(args.gold)
-        preds = data.load_predictions(args.pred)
-        with _naming(args.pred):
-            per_replica = evaluation.score_replicas(
-                preds, golds, relax_oov_braces=args.relax_braces,
-                oov_token=args.oov_token, clause_set=args.clause_set)
-        accs = list(per_replica.values())
-        agg = evaluation.aggregate_replicas(accs, args.variance)
-        report = evaluation.EvalReport(args.split_name, tuple(accs), agg)
-        text = json.dumps(report.to_jsonable(), indent=2) + "\n"
-        _write_text(text, args.out, "eval score",
-                    {"relax_braces": args.relax_braces,
-                     "oov_token": args.oov_token, "clause_set": args.clause_set,
-                     "variance": args.variance},
-                    [args.gold, args.pred])
-        return 0
-    if sc == "report":
-        # Cells are `eval score` outputs, in fractions; the table shows points.
-        raw, require = _read_json(args.infile)
-        require(raw)
-        results = {}
-        for model, per_split in raw.items():
-            require(per_split, parent=raw)
-            results[model] = {}
-            for split_name, cell in per_split.items():
-                if cell is None:
-                    results[model][split_name] = None
-                    continue
-                mean, variance, kind, n = require(
-                    cell, "mean", "variance", "variance_kind", "n_replicas", parent=per_split)
-                results[model][split_name] = evaluation.AggregateStat(
-                    100 * mean, 100 * variance, kind, n)
-        text = evaluation.render_results_table(results)
-        _write_text(text, args.out, "eval report", {}, [args.infile])
-        return 0
-    if sc == "length-breakdown":
-        golds = data.load_dataset(args.gold)
-        train = data.load_dataset(args.train)
-        preds = data.load_predictions(args.pred)
-        with _naming(args.pred):
-            buckets = evaluation.length_breakdown(preds, golds, train,
-                                                  args.bucket_width, args.axis)
-        lines = ["low,high,train_count,test_count,accuracy,unseen_length"]
-        for b in buckets:
-            acc = "" if b.accuracy is None else f"{b.accuracy:g}"
-            lines.append(f"{b.low},{b.high},{b.train_count},{b.test_count},"
-                         f"{acc},{int(b.unseen_length)}")
-        _write_text("\n".join(lines) + "\n", args.out, "eval length-breakdown",
-                    {"bucket_width": args.bucket_width, "axis": args.axis},
-                    [args.gold, args.pred, args.train])
-        return 0
-    # curve
-    raw, require = _read_json(args.infile)
-    if not isinstance(raw, list):
-        raise evaluation.EvalError(f"{args.infile}:1: expected a JSON list of points")
-    points = [(*require(p, "divergence", "accuracy", parent=raw), p.get("label", ""))
-              for p in raw]
-    text = evaluation.divergence_curve(points)
-    _write_text(text, args.out, "eval curve", {}, [args.infile])
-    return 0
+def _scan_generate(args):
+    data.save_dataset(scan.enumerate_dataset(), args.out, args.format)
 
 
-_DISPATCH = {
-    "scan": _cmd_scan,
-    "split": _cmd_split,
-    "dbca": _cmd_dbca,
-    "ir": _cmd_ir,
-    "prep": _cmd_prep,
-    "eval": _cmd_eval,
-}
+def _scan_interpret(args):
+    return _map_lines(lambda line: " ".join(scan.interpret(scan.parse_command(line))),
+                      args.infile)
+
+
+def _dbca_analyze(args):
+    by_id = {ex.id: ex for ex in data.load_dataset(args.infile)}
+    split = splits.load_split(args.split)
+    try:
+        train = [by_id[i] for i in split.train_ids]
+        test = [by_id[i] for i in split.test_ids]
+    except KeyError as exc:
+        raise data.DataError(f"{args.split}: split references unknown id "
+                             f"{exc.args[0]!r}") from None
+    report = dbca.measure(train, test, args.atom_alpha, args.compound_alpha)
+    return json.dumps(report.to_jsonable(), indent=2) + "\n"
+
+
+def _ir_encode(args):
+    return _map_lines(lambda line: sparql.serialize_ir(
+        sparql.ir_encode(sparql.parse_sparql(line), args.level)), args.infile)
+
+
+def _ir_decode(args):
+    return _map_lines(lambda line: sparql.serialize_sparql(
+        sparql.ir_decode(line, args.level)), args.infile)
+
+
+def _prep_cgps_prefix(args):
+    dataset = data.load_dataset(args.infile)
+    token_map = (data.SCAN_TOKEN_MAP if args.token_map == "scan" else
+                 data.load_token_map(args.token_map) if args.token_map else None)
+    if token_map is None and not args.identity:
+        raise data.DataError("need --token-map and/or --identity")
+    data.save_dataset(data.cgps_prefix_dataset(dataset, token_map, args.identity,
+                                               args.global_length), args.out)
+
+
+def _eval_score(args):
+    golds = data.load_dataset(args.gold)
+    preds = data.load_predictions(args.pred)
+    with _naming(args.pred):
+        per_replica = evaluation.score_replicas(
+            preds, golds, relax_oov_braces=args.relax_braces,
+            oov_token=args.oov_token, clause_set=args.clause_set)
+    accs = list(per_replica.values())
+    agg = evaluation.aggregate_replicas(accs, args.variance)
+    report = evaluation.EvalReport(args.split_name, tuple(accs), agg)
+    return json.dumps(report.to_jsonable(), indent=2) + "\n"
+
+
+_CELL = {"mean": "a number", "variance": "a number", "variance_kind": "a string",
+         "n_replicas": "an integer"}
+
+
+def _eval_report(args):
+    # Cells are `eval score` outputs, in fractions; the table shows points.
+    doc = data.JsonFile(args.infile)
+    doc.fields(doc.value, {})
+    results = {}
+    for model, per_split in doc.value.items():
+        doc.fields(per_split, {}, doc.value)
+        results[model] = row = {}
+        for split_name, cell in per_split.items():
+            if cell is not None:
+                mean, variance, kind, n = doc.fields(cell, _CELL, per_split)
+                cell = evaluation.AggregateStat(100 * mean, 100 * variance, kind, n)
+            row[split_name] = cell
+    return evaluation.render_results_table(results)
+
+
+def _eval_length_breakdown(args):
+    golds = data.load_dataset(args.gold)
+    train = data.load_dataset(args.train)
+    preds = data.load_predictions(args.pred)
+    with _naming(args.pred):
+        buckets = evaluation.length_breakdown(preds, golds, train,
+                                              args.bucket_width, args.axis)
+    lines = ["low,high,train_count,test_count,accuracy,unseen_length"]
+    for b in buckets:
+        acc = "" if b.accuracy is None else f"{b.accuracy:g}"
+        lines.append(f"{b.low},{b.high},{b.train_count},{b.test_count},"
+                     f"{acc},{int(b.unseen_length)}")
+    return "\n".join(lines) + "\n"
+
+
+_POINT = {"divergence": "a number", "accuracy": "a number", "label": "a string or null"}
+
+
+def _eval_curve(args):
+    doc = data.JsonFile(args.infile)
+    if not isinstance(doc.value, list):
+        raise doc.error("expected a JSON list of points")
+    points = [doc.fields(p, _POINT, doc.value) for p in doc.value]
+    return evaluation.divergence_curve((d, a, label or "") for d, a, label in points)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="compgen-toolkit")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand",
+                                                               required=True)
+
+    def leaf(subparsers, name, run, help=None, out=False):
+        """A subcommand running run(args), with --out (required if out)."""
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--out", required=out)
+        return p
+
+    def random_partition(p):
+        p.add_argument("--seed", type=_seed, default=os.environ.get("COMPGEN_SEED", "0"))
+        p.add_argument("--train-fraction", type=float, default=0.8)
+
+    def alphas(p):
+        p.add_argument("--atom-alpha", type=float, default=dbca.DEFAULT_ATOM_ALPHA)
+        p.add_argument("--compound-alpha", type=float,
+                       default=dbca.DEFAULT_COMPOUND_ALPHA)
+
+    scan_sub = group("scan", "dataset generation and interpretation")
+    p = leaf(scan_sub, "generate", _scan_generate, "enumerate the full dataset", out=True)
+    p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
+    p = leaf(scan_sub, "interpret", _scan_interpret, "map commands (one per line) to actions")
+    p.add_argument("--in", dest="infile")
+
+    split_sub = group("split", "train/test split construction")
+
+    def split(name, build):
+        """A subcommand that saves build(dataset, args) to --out."""
+        def run_split(args):
+            splits.save_split(build(data.load_dataset(args.infile), args), args.out)
+        p = leaf(split_sub, name, run_split, out=True)
+        p.add_argument("--in", dest="infile", required=True)
+        return p
+
+    p = split("random", lambda ds, a: splits.build_random_split(ds, a.seed, a.train_fraction))
+    random_partition(p)
+    p = split("primitive", lambda ds, a: splits.build_primitive_holdout(ds, a.primitive))
+    p.add_argument("--primitive", required=True)
+    p = split("subcommand", lambda ds, a: splits.build_subcommand_holdout(ds, a.phrase))
+    p.add_argument("--phrase", required=True)
+    p = split("template", lambda ds, a: splits.build_template_holdout(ds, a.template))
+    p.add_argument("--template", required=True)
+    p = split("length", lambda ds, a: splits.build_length_split(ds, a.max_length))
+    p.add_argument("--max-length", type=int, default=22)
+    p = split("mcd", lambda ds, a: dbca.build_mcd_split(
+        ds, target_compound_divergence=a.target, max_atom_divergence=a.max_atom_div,
+        seed=a.seed, iterations=a.iterations, train_fraction=a.train_fraction,
+        atom_alpha=a.atom_alpha, compound_alpha=a.compound_alpha)[0])
+    random_partition(p)
+    p.add_argument("--target", type=float, default=1.0,
+                   help="target compound divergence")
+    p.add_argument("--max-atom-div", type=float, default=0.02)
+    p.add_argument("--iterations", type=int, default=20000,
+                   help="proposals without improvement before stopping")
+    alphas(p)
+
+    p = leaf(group("dbca", "divergence analysis of a split"), "analyze", _dbca_analyze,
+             "measure divergences of an existing (e.g. released) split id list")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--split", required=True)
+    alphas(p)
+
+    ir_sub = group("ir", "intermediate SPARQL representations")
+    for name, run_ir in (("encode", _ir_encode), ("decode", _ir_decode)):
+        p = leaf(ir_sub, name, run_ir)
+        p.add_argument("--level", choices=list(sparql.IR_LEVELS), required=True)
+        p.add_argument("--in", dest="infile")
+
+    p = leaf(group("prep", "dataset preprocessing"), "cgps-prefix", _prep_cgps_prefix,
+             "prepend placeholder tokens for non-mappable output tokens", out=True)
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--token-map", default=None,
+                   help="'scan' for the built-in SCAN map, or a JSON file "
+                   "mapping input tokens to output token lists")
+    p.add_argument("--identity", action="store_true",
+                   help="treat output tokens equal to an input token as "
+                   "mappable (the CFQ default)")
+    p.add_argument("--global-length", action="store_true",
+                   help="use one fixed prefix length (the dataset maximum)")
+
+    eval_sub = group("eval", "prediction scoring and reporting")
+    p = leaf(eval_sub, "score", _eval_score)
+    p.add_argument("--gold", required=True)
+    p.add_argument("--pred", required=True)
+    p.add_argument("--relax-braces", action="store_true")
+    p.add_argument("--oov-token", default=evaluation.DEFAULT_OOV_TOKEN)
+    p.add_argument("--clause-set", action="store_true")
+    p.add_argument("--variance", default="stdev",
+                   choices=["stdev", "ci95", "ci95_bootstrap"])
+    p.add_argument("--split-name", default="split")
+    p = leaf(eval_sub, "report", _eval_report, out=True)
+    p.add_argument("--in", dest="infile", required=True,
+                   help="JSON: {model: {split: <eval score output> | null}}")
+    p = leaf(eval_sub, "length-breakdown", _eval_length_breakdown)
+    p.add_argument("--gold", required=True)
+    p.add_argument("--pred", required=True)
+    p.add_argument("--train", required=True)
+    p.add_argument("--bucket-width", type=int, default=5)
+    p.add_argument("--axis", choices=["input", "output"], default="output")
+    p = leaf(eval_sub, "curve", _eval_curve)
+    p.add_argument("--in", dest="infile", required=True,
+                   help="JSON list of {divergence, accuracy, label}")
+    return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: write its text to --out (or stdout), and with
+    --out also the manifest.  Bad input ends in exit code 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        text = args.run(args)
+        if args.out is None:
+            sys.stdout.write(text)
+            return 0
+        if text is not None:
+            Path(args.out).write_text(text, encoding="utf-8")
+        _write_manifest(args)
     except (ValueError, OSError) as exc:
         print(f"compgen: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

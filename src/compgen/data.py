@@ -15,6 +15,84 @@ class DataError(ValueError):
     pass
 
 
+# The value kinds JsonFile.fields checks; "<kind> or null" also admits a
+# null or missing value.
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a JSON object": lambda v: isinstance(v, dict),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+}
+
+
+class JsonFile:
+    """A JSON file, decoded by the C decoder.  An error about its syntax or
+    about one of its values names the file and a line: where the value
+    starts, or its container when the value is a scalar.  Lines come from a
+    second decode that records them, run only when an error is raised."""
+
+    def __init__(self, path):
+        self.path = path
+        self.text = Path(path).read_text(encoding="utf-8")
+        try:
+            self.value = json.loads(self.text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+    def fields(self, obj, kinds: Mapping[str, str], parent=None) -> list:
+        """obj[key] for each key of kinds, in order.  obj must be a JSON
+        object (parent is its container) and each value of the kind named
+        in _KINDS."""
+        if not isinstance(obj, dict):
+            raise self.error("expected a JSON object", obj, parent)
+        values = []
+        for key, kind in kinds.items():
+            nullable = kind.endswith(" or null")
+            if key not in obj and not nullable:
+                raise self.error(f"missing key {key!r}", obj)
+            value = obj.get(key)
+            if not (nullable and value is None or _KINDS[kind.removesuffix(" or null")](value)):
+                raise self.error(f"{key!r} must be {kind}", value, obj)
+            values.append(value)
+        return values
+
+    def error(self, message: str, value=None, parent=None) -> DataError:
+        """A DataError located at value, or at parent when value is a
+        scalar, or at line 1 when both are scalars."""
+        node = value if isinstance(value, (dict, list)) else parent
+        return DataError(f"{self.path}:{self._line(node)}: {message}")
+
+    def _line(self, node) -> int:
+        if not isinstance(node, (dict, list)):
+            return 1
+        lines = {}
+
+        def located(parse):
+            def parse_located(s_and_end, *args):
+                value, end = parse(s_and_end, *args)
+                text, start = s_and_end  # start is just past the bracket
+                lines[id(value)] = text.count("\n", 0, start - 1) + 1
+                return value, end
+            return parse_located
+
+        decoder = json.JSONDecoder()
+        decoder.parse_object = located(json.decoder.JSONObject)
+        decoder.parse_array = located(json.decoder.JSONArray)
+        decoder.scan_once = json.scanner.py_make_scanner(decoder)
+        # Both decodes build the same tree: find node's twin in step.
+        pending = [(self.value, decoder.decode(self.text))]
+        while pending:
+            mine, twin = pending.pop()
+            if mine is node:
+                return lines[id(twin)]
+            if isinstance(mine, dict):
+                pending.extend(zip(mine.values(), twin.values()))
+            elif isinstance(mine, list):
+                pending.extend(zip(mine, twin))
+        return 1
+
+
 @dataclass(frozen=True)
 class DerivationTrace:
     """Tree of applied rule ids: the derivation of an example, and for SCAN
@@ -153,6 +231,8 @@ def load_predictions(path) -> list[PredictionRecord]:
                 ))
             except Exception as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction: {exc}") from exc
+    if not records:
+        raise DataError(f"{path}: no predictions")
     return records
 
 
@@ -174,6 +254,15 @@ SCAN_TOKEN_MAP: dict[str, tuple[str, ...]] = {
     "right": ("RTURN",),
     "turn": ("LTURN", "RTURN"),
 }
+
+
+def load_token_map(path) -> dict[str, tuple[str, ...]]:
+    """A JSON object mapping input tokens to lists of output tokens."""
+    doc = JsonFile(path)
+    doc.fields(doc.value, {})  # an object
+    lists = doc.fields(doc.value, dict.fromkeys(doc.value, "a list of strings"))
+    return {k: tuple(v) for k, v in zip(doc.value, lists)}
+
 
 _PLACEHOLDER_RE = re.compile(r"^<p\d+>$")
 

@@ -216,12 +216,16 @@ def build_mcd_split(examples: Sequence[Example],
     read from tables, and changes nothing unless it is accepted; the
     compound side is scored only when the atom test passes.  No step
     depends on hash order, so the split is a function of the arguments.
-    The final partition is measured afresh with `measure`.
+    The final partition is measured afresh from the rows' counts, without
+    extracting atoms and compounds again.
     """
     if not 0 <= target_compound_divergence <= 1:
         raise DbcaError("target compound divergence must be in [0, 1]")
     if not 0 < train_fraction < 1:
         raise DbcaError("train_fraction must be in (0, 1)")
+    for alpha in (atom_alpha, compound_alpha):
+        if not 0 < alpha < 1:
+            raise DbcaError(f"alpha must be in (0, 1), got {alpha}")
     for ex in examples:
         if ex.derivation is None:
             raise DbcaError(f"example {ex.id!r} has no derivation trace")
@@ -263,9 +267,17 @@ def build_mcd_split(examples: Sequence[Example],
                 continue
         no_improve += 1
 
-    train = [examples[i] for i in sorted(train_idx)]
-    test = [examples[i] for i in sorted(test_idx)]
-    report = measure(train, test, atom_alpha, compound_alpha)
+    train_idx.sort()
+    test_idx.sort()
+    # Recounted from the rows, so that no drift of the running sums can
+    # reach the bound check or the report.  The search state goes first,
+    # so that it and the recount are never held at once.
+    atom_rows, comp_rows = atoms.rows, comps.rows
+    del atoms, comps
+    report = DivergenceReport(
+        _Divergence(atom_rows, train_idx, test_idx, atom_alpha).value(),
+        _Divergence(comp_rows, train_idx, test_idx, compound_alpha).value(),
+        atom_alpha, compound_alpha, len(train_idx), len(test_idx))
     if report.atom_divergence > max_atom_divergence + 1e-9:
         raise InfeasibleSplitError(
             f"could not reach atom divergence <= {max_atom_divergence} "
@@ -277,8 +289,8 @@ def build_mcd_split(examples: Sequence[Example],
         "atom_alpha": atom_alpha,
         "compound_alpha": compound_alpha,
     }, seed, train_fraction)
-    result = SplitResult(spec, tuple(ex.id for ex in train),
-                         tuple(ex.id for ex in test),
-                         {"train_size": len(train), "test_size": len(test),
+    result = SplitResult(spec, tuple(examples[i].id for i in train_idx),
+                         tuple(examples[i].id for i in test_idx),
+                         {"train_size": len(train_idx), "test_size": len(test_idx),
                           "divergence": report.to_jsonable()})
     return result, report

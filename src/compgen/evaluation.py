@@ -85,13 +85,24 @@ def _clause_set_match(prediction: Sequence[str], gold: Sequence[str]) -> bool:
     return clause_set_equal(pred_q, gold_q)
 
 
-def _match(prediction: Sequence[str], gold: Sequence[str],
-           relax_oov_braces: bool = False, oov_token: str = DEFAULT_OOV_TOKEN,
-           clause_set: bool = False) -> bool:
-    """The matcher of score_run and length_breakdown."""
-    if clause_set:
-        return _clause_set_match(prediction, gold)
-    return exact_match(prediction, gold, relax_oov_braces, oov_token)
+def _matches(predictions: Iterable[PredictionRecord],
+             golds: Mapping[str, Sequence[str]],
+             relax_oov_braces: bool = False, oov_token: str = DEFAULT_OOV_TOKEN,
+             clause_set: bool = False) -> dict[str, bool]:
+    """{id: matched} for the predictions of one replica, the matcher of
+    score_run and length_breakdown.  An unknown or repeated id is an
+    error."""
+    matched = {}
+    for rec in predictions:
+        if rec.example_id not in golds:
+            raise EvalError(f"prediction for unknown id {rec.example_id!r}")
+        if rec.example_id in matched:
+            raise EvalError(f"multiple predictions for id {rec.example_id!r}")
+        gold = golds[rec.example_id]
+        matched[rec.example_id] = (
+            _clause_set_match(rec.tokens, gold) if clause_set
+            else exact_match(rec.tokens, gold, relax_oov_braces, oov_token))
+    return matched
 
 
 def score_run(predictions: Iterable[PredictionRecord],
@@ -106,14 +117,7 @@ def score_run(predictions: Iterable[PredictionRecord],
         golds = {ex.id: ex.output for ex in golds}
     if not golds:
         raise EvalError("no gold examples")
-    matched = {}
-    for rec in predictions:
-        if rec.example_id not in golds:
-            raise EvalError(f"prediction for unknown id {rec.example_id!r}")
-        if rec.example_id in matched:
-            raise EvalError(f"multiple predictions for id {rec.example_id!r}")
-        matched[rec.example_id] = _match(rec.tokens, tuple(golds[rec.example_id]),
-                                         relax_oov_braces, oov_token, clause_set)
+    matched = _matches(predictions, golds, relax_oov_braces, oov_token, clause_set)
     correct = sum(1 for i in golds if matched.get(i, False))
     return correct / len(golds)
 
@@ -181,15 +185,7 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     def length(ex: Example) -> int:
         return len(ex.input if axis == "input" else ex.output)
 
-    matched: dict[str, bool] = {}
-    gold_map = {ex.id: ex.output for ex in golds}
-    for rec in predictions:
-        if rec.example_id not in gold_map:
-            raise EvalError(f"prediction for unknown id {rec.example_id!r}")
-        if rec.example_id in matched:
-            raise EvalError(f"multiple predictions for id {rec.example_id!r}")
-        matched[rec.example_id] = _match(rec.tokens, gold_map[rec.example_id],
-                                         **match_options)
+    matched = _matches(predictions, {ex.id: ex.output for ex in golds}, **match_options)
 
     def bucket_of(n: int) -> int:
         return (n - 1) // bucket_width

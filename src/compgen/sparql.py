@@ -109,8 +109,10 @@ def parse_sparql(text: str) -> SparqlQuery:
     if not tokens:
         raise SparqlParseError("empty query")
     form, header, body = _parse_header(tokens)
-    if any(t in ("{", "}") for t in body):
-        raise SparqlParseError("unsupported construct: nested braces")
+    # No nested braces and no object lists: a comma in a triple or in a
+    # FILTER would not survive the grouping of the IR.
+    if "{" in body or "}" in body or "," in body:
+        raise SparqlParseError("unsupported construct: nested braces or ','")
     if not body:
         raise SparqlParseError("empty WHERE body")
     triples: list[tuple[str, str, str]] = []
@@ -255,7 +257,9 @@ def ir_decode(ir_text: str, level: str) -> SparqlQuery:
     if not tokens:
         raise IrDecodeError("empty input")
     form, header = "bare", ()
-    if tokens[0].upper() in ("SELECT", "ASK"):
+    # A header always ends in WHERE, so a first token followed by '{' is
+    # the subject of a group of a bare query.
+    if tokens[0].upper() in ("SELECT", "ASK") and tokens[1:2] != ["{"]:
         try:
             form, header, tokens = _parse_header(tokens)
         except SparqlParseError as exc:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .data import Example
+from .data import Example, JsonFile
 from .scan import PRIMITIVES, ScanParseError, parse_command
 
 
@@ -31,11 +31,6 @@ class SplitSpec:
         return {"kind": self.kind, "parameter": self.parameter,
                 "seed": self.seed, "train_fraction": self.train_fraction}
 
-    @classmethod
-    def from_jsonable(cls, obj) -> "SplitSpec":
-        return cls(obj["kind"], obj.get("parameter"), obj.get("seed", 0),
-                   obj.get("train_fraction"))
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -54,11 +49,16 @@ def save_split(result: SplitResult, path) -> None:
                           encoding="utf-8")
 
 
-def load_split(path):
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SplitResult(SplitSpec.from_jsonable(obj["spec"]),
-                       tuple(obj["train"]), tuple(obj["test"]),
-                       obj.get("stats", {}))
+def load_split(path) -> SplitResult:
+    doc = JsonFile(path)
+    spec, train, test, stats = doc.fields(doc.value, {
+        "spec": "a JSON object", "train": "a list of strings",
+        "test": "a list of strings", "stats": "a JSON object or null"})
+    kind, seed, train_fraction = doc.fields(spec, {
+        "kind": "a string", "seed": "an integer or null",
+        "train_fraction": "a number or null"})
+    return SplitResult(SplitSpec(kind, spec.get("parameter"), seed or 0, train_fraction),
+                       tuple(train), tuple(test), stats or {})
 
 
 def _split_stats(dataset: Sequence[Example], train_ids, test_ids) -> dict:

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from compgen import data, scan
-from compgen.cli import run
+from compgen import data, dbca, scan, splits
+from compgen.cli import build_parser, run
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +75,26 @@ def test_split_mcd_and_dbca_analyze(tmp_path, small_dataset):
     assert run(["split", "mcd", "--in", str(small_dataset), "--out", str(out),
                 "--seed", "1", "--iterations", "200",
                 "--max-atom-div", "0.05"]) == 0
-    report = json.loads((tmp_path / "mcd.json.divergence.json").read_text())
+    split = json.loads(out.read_text())
+    report = split["stats"]["divergence"]
     assert report["atom_divergence"] <= 0.05
+    assert not (tmp_path / "mcd.json.divergence.json").exists()
     analyzed = tmp_path / "report.json"
     assert run(["dbca", "analyze", "--in", str(small_dataset),
                 "--split", str(out), "--out", str(analyzed)]) == 0
     measured = json.loads(analyzed.read_text())
-    assert abs(measured["compound_divergence"]
-               - report["compound_divergence"]) < 1e-9
+    for key in ("atom_divergence", "compound_divergence"):
+        assert abs(measured[key] - report[key]) < 1e-9
+    # The library call reports what dbca.measure finds for its partition.
+    examples = data.load_dataset(small_dataset)
+    result, lib_report = dbca.build_mcd_split(
+        examples, seed=1, iterations=200, max_atom_divergence=0.05)
+    assert [list(result.train_ids), list(result.test_ids)] == [split["train"], split["test"]]
+    by_id = {ex.id: ex for ex in examples}
+    again = dbca.measure([by_id[i] for i in result.train_ids],
+                         [by_id[i] for i in result.test_ids])
+    assert abs(lib_report.atom_divergence - again.atom_divergence) < 1e-9
+    assert abs(lib_report.compound_divergence - again.compound_divergence) < 1e-9
 
 
 def test_ir_encode_decode(tmp_path):
@@ -192,6 +205,16 @@ def test_error_exit_code(tmp_path):
                 "--out", str(tmp_path / "o.json"), "--primitive", "jump"]) == 2
 
 
+@pytest.mark.parametrize("option,value", [("--atom-alpha", "0"), ("--compound-alpha", "1"),
+                                          ("--compound-alpha", "1.5")])
+def test_split_mcd_alpha_out_of_range(option, value, tmp_path, small_dataset, capsys):
+    out = tmp_path / "mcd.json"
+    assert run(["split", "mcd", "--in", str(small_dataset), "--out", str(out),
+                "--iterations", "10", option, value]) == 2
+    assert capsys.readouterr().err.startswith(f"compgen: error: alpha must be in (0, 1), got {value}")
+    assert not out.exists()
+
+
 def test_env_seed_override(tmp_path, small_dataset, monkeypatch):
     monkeypatch.setenv("COMPGEN_SEED", "17")
     from compgen.cli import build_parser
@@ -228,3 +251,152 @@ def test_eval_prediction_errors_name_file(tmp_path, capsys):
     pred.write_text(json.dumps({"id": "9", "prediction": ["A"]}) + "\n")
     assert run(["eval", "score", "--gold", str(gold), "--pred", str(pred)]) == 2
     assert f"{pred}: prediction for unknown id '9'" in capsys.readouterr().err
+
+
+# Every leaf subcommand, enumerated from the parser, with valid arguments
+# ({name} is a file of the cli_inputs fixture) except --out.
+VALID_ARGS = {
+    "scan generate": [],
+    "scan interpret": ["--in", "{cmds}"],
+    "split random": ["--in", "{dataset}", "--seed", "3", "--train-fraction", "0.7"],
+    "split primitive": ["--in", "{dataset}", "--primitive", "jump"],
+    "split subcommand": ["--in", "{dataset}", "--phrase", "jump twice"],
+    "split template": ["--in", "{dataset}", "--template", "$Primitive twice"],
+    "split length": ["--in", "{dataset}", "--max-length", "20"],
+    "split mcd": ["--in", "{dataset}", "--seed", "2", "--iterations", "50",
+                  "--max-atom-div", "0.5", "--target", "0.3"],
+    "dbca analyze": ["--in", "{dataset}", "--split", "{split}", "--atom-alpha", "0.4"],
+    "ir encode": ["--level", "f3", "--in", "{queries}"],
+    "ir decode": ["--level", "f1", "--in", "{encoded}"],
+    "prep cgps-prefix": ["--in", "{dataset}", "--token-map", "{token_map}", "--identity"],
+    "eval score": ["--gold", "{gold}", "--pred", "{pred}", "--clause-set",
+                   "--variance", "ci95", "--split-name", "s"],
+    "eval report": ["--in", "{results}"],
+    "eval length-breakdown": ["--gold", "{gold}", "--pred", "{pred}", "--train", "{train}",
+                              "--axis", "input"],
+    "eval curve": ["--in", "{points}"],
+}
+PATH_OPTIONS = {"infile", "split", "gold", "pred", "train", "out"}
+# Options naming an input file; --token-map names one unless it is 'scan'.
+INPUT_OPTIONS = {"infile": "--in", "split": "--split", "gold": "--gold",
+                 "pred": "--pred", "train": "--train", "token_map": "--token-map"}
+
+
+def leaf_parsers(parser, words=()):
+    """(command words, parser) of every leaf subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from leaf_parsers(sub, words + (name,))
+
+
+LEAVES = dict(leaf_parsers(build_parser()))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory, small_dataset):
+    d = tmp_path_factory.mktemp("inputs")
+    examples = data.load_dataset(small_dataset)
+    gold, train = examples[:40], examples[40:]
+    files = {"dataset": small_dataset, "gold": d / "gold.jsonl",
+             "train": d / "train.jsonl", "pred": d / "pred.jsonl",
+             "split": d / "split.json", "cmds": d / "cmds.txt",
+             "queries": d / "queries.txt", "encoded": d / "encoded.txt",
+             "token_map": d / "token_map.json", "results": d / "results.json",
+             "points": d / "points.json"}
+    data.save_dataset(gold, files["gold"])
+    data.save_dataset(train, files["train"])
+    data.save_predictions([data.PredictionRecord(ex.id, ex.output) for ex in gold],
+                          files["pred"])
+    splits.save_split(splits.build_length_split(examples), files["split"])
+    files["cmds"].write_text("jump twice\nwalk left\n")
+    files["queries"].write_text("M0 a M1 . M1 b M2\n")
+    files["encoded"].write_text("M0 { a M1 . b M2 }\n")
+    files["token_map"].write_text(json.dumps({"jump": ["JUMP"]}))
+    files["results"].write_text(json.dumps({"A": {"s": {
+        "mean": 0.5, "variance": 0.1, "variance_kind": "stdev", "n_replicas": 2}}}))
+    files["points"].write_text(json.dumps([{"divergence": 0.5, "accuracy": 0.1}]))
+    return {k: str(v) for k, v in files.items()}
+
+
+def leaf_argv(name, files, **replace):
+    """argv of a leaf with its valid arguments, the inputs named in replace
+    (by option) swapped for the given paths."""
+    args = [a.format(**files) for a in VALID_ARGS[name]]
+    for option, path in replace.items():
+        args[args.index(option) + 1] = str(path)
+    return name.split() + args
+
+
+def test_every_leaf_has_valid_args():
+    assert set(LEAVES) == set(VALID_ARGS)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_ARGS))
+def test_manifest_config_is_the_non_path_options(name, cli_inputs, tmp_path):
+    out = tmp_path / "out"
+    argv = leaf_argv(name, cli_inputs) + ["--out", str(out)]
+    assert run(argv) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    args = build_parser().parse_args(argv)
+    options = [a.dest for a in LEAVES[name]._actions if a.dest != "help"]
+    assert manifest["command"] == name
+    assert manifest["config"] == {k: getattr(args, k) for k in options
+                                  if k not in PATH_OPTIONS}
+    assert set(manifest["inputs"]) == {getattr(args, k) for k in options
+                                       if k in PATH_OPTIONS - {"out"}}
+    assert set(manifest["outputs"]) == {str(out)}
+
+
+BAD_INPUTS = [(name, INPUT_OPTIONS[a.dest]) for name, p in sorted(LEAVES.items())
+              for a in p._actions if a.dest in INPUT_OPTIONS]
+
+
+@pytest.mark.parametrize("name,option", BAD_INPUTS)
+@pytest.mark.parametrize("case", ["missing", "empty", "malformed"])
+def test_bad_input_file_exits_2_naming_it(name, option, case, cli_inputs, tmp_path, capsys):
+    bad = tmp_path / "bad.in"
+    if case != "missing":
+        bad.write_text("" if case == "empty" else "{ x\n")
+    argv = leaf_argv(name, cli_inputs, **{option: bad}) + ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compgen: error:") and "Traceback" not in err
+    assert (f"{bad}:1: " if case == "malformed" else str(bad)) in err
+
+
+@pytest.mark.parametrize("name,option,content,message", [
+    ("dbca analyze", "--split", '{"spec": {"kind": "length"},\n "train": []}',
+     ":1: missing key 'test'"),
+    ("dbca analyze", "--split", '{"spec": {"kind": "length"},\n "train": [1], "test": []}',
+     ":2: 'train' must be a list of strings"),
+    ("dbca analyze", "--split", '{"spec": {"seed": 1},\n "train": [], "test": []}',
+     ":1: missing key 'kind'"),
+    ("dbca analyze", "--split", "not json", ":1: Expecting value"),
+    ("prep cgps-prefix", "--token-map", '{"jump": 3}', ":1: 'jump' must be a list of strings"),
+    ("prep cgps-prefix", "--token-map", '["jump"]', ":1: expected a JSON object"),
+    ("eval curve", "--in", '[\n {"divergence": "x", "accuracy": 0.1}\n]',
+     ":2: 'divergence' must be a number"),
+    ("eval curve", "--in", '[{"divergence": true, "accuracy": 0.1}]',
+     ":1: 'divergence' must be a number"),
+    ("eval curve", "--in", '[{"divergence": 0.1, "accuracy": 0.1, "label": 3}]',
+     ":1: 'label' must be a string or null"),
+    ("eval report", "--in", '{"A": {\n "s": {"mean": "0.5", "variance": 0.1, '
+     '"variance_kind": "stdev", "n_replicas": 2}}}', ":2: 'mean' must be a number"),
+    ("eval report", "--in", '{"A":\n [1]}', ":2: expected a JSON object"),
+    ("dbca analyze", "--split", "null", ":1: expected a JSON object"),
+    ("prep cgps-prefix", "--token-map", "null", ":1: expected a JSON object"),
+    ("eval report", "--in", "null", ":1: expected a JSON object"),
+    ("eval report", "--in", '{"a": null}', ":1: expected a JSON object"),
+    ("eval curve", "--in", '{"label": null}', ":1: expected a JSON list of points"),
+])
+def test_json_input_types_checked(name, option, content, message, cli_inputs, tmp_path,
+                                  capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    argv = leaf_argv(name, cli_inputs, **{option: bad}) + ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compgen: error:") and f"{bad}{message}" in err

@@ -100,3 +100,20 @@ def test_cgps_length_invariant():
     n = data.count_non_mappable(ex, identity=True)
     out = data.cgps_prefix(ex, identity=True)
     assert len(out.input) == len(ex.input) + n
+
+
+def test_json_file_errors_name_the_line_of_the_value(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{\n  "a": [\n    1\n  ],\n  "b": {"c": 1}\n}\n')
+    doc = data.JsonFile(path)
+    assert doc.fields(doc.value, {"z": "a string or null"}) == [None]
+    for obj, kinds, message in [
+            (doc.value, {"z": "a string"}, ":1: missing key 'z'"),
+            (doc.value, {"a": "a list of strings"}, ":2: 'a' must be a list of strings"),
+            (doc.value["b"], {"c": "a string"}, ":5: 'c' must be a string"),
+            (doc.value["a"][0], {}, ":2: expected a JSON object")]:
+        with pytest.raises(data.DataError, match=f"^{path}{message}$"):
+            doc.fields(obj, kinds, parent=doc.value["a"])
+    path.write_text('{"a": 1,\n "b": }')
+    with pytest.raises(data.DataError, match=f"^{path}:2: Expecting value$"):
+        data.JsonFile(path)

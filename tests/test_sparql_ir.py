@@ -136,6 +136,49 @@ def test_decode_rejects_or_reparses_to_same_clause_set(case):
     assert sparql.clause_set_equal(again, decoded)
 
 
+QUERY_VOCAB = IR_VOCAB + ["select", "ask", "where"]
+HEADERS = ["", "SELECT DISTINCT ?x0 WHERE", "SELECT count(*) WHERE", "ASK WHERE",
+           "select distinct M0 where", "ASK", "SELECT"]
+
+
+@st.composite
+def query_texts(draw):
+    """Text near the language of parse_sparql: clauses of three tokens
+    (triples) or starting with FILTER, or arbitrary token lists, from a
+    vocabulary holding the IR's reserved tokens and the header keywords."""
+    tokens = st.sampled_from(QUERY_VOCAB)
+    clause = st.one_of(st.lists(tokens, min_size=3, max_size=3),
+                       st.lists(tokens, max_size=4).map(lambda c: ["FILTER"] + c),
+                       st.lists(tokens, min_size=1, max_size=5))
+    body = " . ".join(" ".join(c) for c in draw(st.lists(clause, min_size=1, max_size=4)))
+    header = draw(st.sampled_from(HEADERS))
+    return f"{header} {{ {body} }}" if header else body
+
+
+@pytest.mark.filterwarnings("ignore:duplicate triple")
+@settings(max_examples=1000, deadline=None)
+@given(query_texts())
+def test_decode_inverts_encode_of_every_parsed_query(text):
+    try:
+        query = sparql.parse_sparql(text)
+    except sparql.SparqlParseError:
+        return
+    for level in sparql.IR_LEVELS:
+        decoded = sparql.ir_decode(encode_text(text, level), level)
+        assert sparql.clause_set_equal(decoded, query), (level, text)
+
+
+def test_encoder_output_decodes():
+    # A comma in a FILTER would not survive the grouping at f2.
+    with pytest.raises(sparql.SparqlParseError):
+        sparql.parse_sparql("M0 a M1 . FILTER ( M0 , M1 )")
+    # A bare query whose first subject is a header keyword.
+    query = sparql.parse_sparql("select a M1 . M0 b M2")
+    for level in sparql.IR_LEVELS:
+        assert sparql.clause_set_equal(
+            sparql.ir_decode(encode_text("select a M1 . M0 b M2", level), level), query)
+
+
 def test_serialize_parse_clause_set_equal():
     q = sparql.parse_sparql("SELECT count(*) WHERE { M0 a M1 . M2 b M3 . "
                             "FILTER ( M0 != M2 ) }")
