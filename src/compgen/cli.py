@@ -45,17 +45,28 @@ def _sha256(path) -> str:
 # which a manifest records as hashes rather than in its config.
 _INPUTS = ("infile", "split", "gold", "pred", "train")
 _NOT_CONFIG = {"command", "subcommand", "run", "out", *_INPUTS}
+_BUILTIN_TOKEN_MAP = "scan"  # the --token-map value naming the built-in map
+
+
+def _input_files(options) -> dict:
+    """The input files given, by option; --token-map names one unless it
+    names the built-in map."""
+    files = {k: options[k] for k in _INPUTS if options.get(k) is not None}
+    if options.get("token_map") not in (None, _BUILTIN_TOKEN_MAP):
+        files["token_map"] = options["token_map"]
+    return files
 
 
 def _write_manifest(args) -> None:
     options = vars(args)
+    inputs = _input_files(options)
     manifest = {
         "tool": "compgen",
         "version": __version__,
         "command": f"{args.command} {args.subcommand}",
-        "config": {k: v for k, v in sorted(options.items()) if k not in _NOT_CONFIG},
-        "inputs": {str(options[k]): _sha256(options[k]) for k in _INPUTS
-                   if options.get(k) is not None},
+        "config": {k: v for k, v in sorted(options.items())
+                   if k not in _NOT_CONFIG and k not in inputs},
+        "inputs": {str(path): _sha256(path) for path in inputs.values()},
         "outputs": {str(args.out): _sha256(args.out)},
     }
     Path(str(args.out) + ".manifest.json").write_text(
@@ -124,7 +135,7 @@ def _ir_decode(args):
 
 def _prep_cgps_prefix(args):
     dataset = data.load_dataset(args.infile)
-    token_map = (data.SCAN_TOKEN_MAP if args.token_map == "scan" else
+    token_map = (data.SCAN_TOKEN_MAP if args.token_map == _BUILTIN_TOKEN_MAP else
                  data.load_token_map(args.token_map) if args.token_map else None)
     if token_map is None and not args.identity:
         raise data.DataError("need --token-map and/or --identity")
@@ -187,8 +198,15 @@ def _eval_curve(args):
     doc = data.JsonFile(args.infile)
     if not isinstance(doc.value, list):
         raise doc.error("expected a JSON list of points")
-    points = [doc.fields(p, _POINT, doc.value) for p in doc.value]
-    return evaluation.divergence_curve((d, a, label or "") for d, a, label in points)
+    points = []
+    for p in doc.value:
+        d, a, label = doc.fields(p, _POINT, doc.value)
+        try:
+            evaluation.check_divergence(d)
+        except evaluation.EvalError as exc:
+            raise doc.error(str(exc), p) from exc
+        points.append((d, a, label or ""))
+    return evaluation.divergence_curve(points)
 
 
 def build_parser() -> argparse.ArgumentParser:

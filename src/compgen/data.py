@@ -3,6 +3,7 @@ assume every output token maps from an input token."""
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import re
@@ -57,35 +58,49 @@ class JsonFile:
             values.append(value)
         return values
 
-    def error(self, message: str, value=None, parent=None) -> DataError:
-        """A DataError located at value, or at parent when value is a
-        scalar, or at line 1 when both are scalars."""
+    def error(self, message: str, value=None, parent=None, index=None) -> DataError:
+        """A DataError located at parent[index] when index is given, else at
+        value, or at parent when value is a scalar, or at line 1 when both
+        are scalars."""
         node = value if isinstance(value, (dict, list)) else parent
-        return DataError(f"{self.path}:{self._line(node)}: {message}")
+        return DataError(f"{self.path}:{self._line(node, index)}: {message}")
 
-    def _line(self, node) -> int:
+    def _line(self, node, index=None) -> int:
         if not isinstance(node, (dict, list)):
             return 1
-        lines = {}
+        newlines = [m.start() for m in re.finditer("\n", self.text)]
+        lines = {}  # id of a container -> its line
+        items = {}  # id of a list -> the line of each element
 
-        def located(parse):
-            def parse_located(s_and_end, *args):
-                value, end = parse(s_and_end, *args)
-                text, start = s_and_end  # start is just past the bracket
-                lines[id(value)] = text.count("\n", 0, start - 1) + 1
-                return value, end
-            return parse_located
+        def line(pos):
+            return bisect.bisect_left(newlines, pos) + 1
+
+        def parse_object(s_and_end, *args):
+            value, end = json.decoder.JSONObject(s_and_end, *args)
+            lines[id(value)] = line(s_and_end[1] - 1)  # [1] is just past the brace
+            return value, end
+
+        def parse_array(s_and_end, scan_once):
+            starts = []
+
+            def scan(s, start):
+                starts.append(start)
+                return scan_once(s, start)
+            value, end = json.decoder.JSONArray(s_and_end, scan)
+            lines[id(value)] = line(s_and_end[1] - 1)
+            items[id(value)] = [line(start) for start in starts]
+            return value, end
 
         decoder = json.JSONDecoder()
-        decoder.parse_object = located(json.decoder.JSONObject)
-        decoder.parse_array = located(json.decoder.JSONArray)
+        decoder.parse_object = parse_object
+        decoder.parse_array = parse_array
         decoder.scan_once = json.scanner.py_make_scanner(decoder)
         # Both decodes build the same tree: find node's twin in step.
         pending = [(self.value, decoder.decode(self.text))]
         while pending:
             mine, twin = pending.pop()
             if mine is node:
-                return lines[id(twin)]
+                return lines[id(twin)] if index is None else items[id(twin)][index]
             if isinstance(mine, dict):
                 pending.extend(zip(mine.values(), twin.values()))
             elif isinstance(mine, list):

@@ -217,13 +217,18 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     return buckets
 
 
+def check_divergence(div: float) -> None:
+    """A divergence lies in [0, 1]."""
+    if not 0 <= div <= 1:
+        raise EvalError(f"divergence {div} outside [0, 1]")
+
+
 def divergence_curve(points: Iterable[tuple[float, float, str]]) -> str:
     """CSV (divergence,accuracy,label) sorted by divergence, for external
     plotting of accuracy-vs-compound-divergence curves."""
     rows = sorted(points, key=lambda p: (p[0], p[2], p[1]))
     for div, _, _ in rows:
-        if not 0 <= div <= 1:
-            raise EvalError(f"divergence {div} outside [0, 1]")
+        check_divergence(div)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["divergence", "accuracy", "label"])

@@ -11,6 +11,14 @@ reversible groupings are provided:
 
 Braces, dots and commas are always emitted as standalone whitespace
 separated tokens.
+
+ir_decode reads exactly what ir_encode writes at the given level: decoding
+either raises IrDecodeError or returns a query that encodes back to the same
+tokens.  So it rejects an f2 entry at f1 and an f1 entry at f2, a subject
+that heads two groups, a relation repeated in one group (f2/f3), a repeated
+object or triple, f3 subjects, relations or objects that are not strictly
+increasing, a group whose subject is FILTER, a clause after the groups that
+is not a FILTER clause, and a header parse_sparql would not accept.
 """
 
 from __future__ import annotations
@@ -144,40 +152,32 @@ def clause_set_equal(a: SparqlQuery, b: SparqlQuery) -> bool:
             and a.constraints == b.constraints)
 
 
+def _group(triples: Iterable[tuple[str, str, str]], level: str) -> tuple:
+    """IrQuery.groups for the triples: subjects and relations in order of
+    first occurrence, each f1 entry one triple in clause order, all sorted
+    at f3."""
+    groups: dict = {}
+    if level == "f1":
+        for s, r, o in triples:
+            groups.setdefault(s, []).append((r, (o,)))
+        return tuple((s, tuple(entries)) for s, entries in groups.items())
+    for s, r, o in triples:
+        groups.setdefault(s, {}).setdefault(r, []).append(o)
+
+    def order(items):
+        return tuple(sorted(items)) if level == "f3" else tuple(items)
+
+    return order((s, order((r, order(objects)) for r, objects in by_relation.items()))
+                 for s, by_relation in groups.items())
+
+
 def ir_encode(query: SparqlQuery, level: str) -> IrQuery:
     """Group the flat clause set; flattening the result reproduces exactly
     the original triple set."""
     if level not in IR_LEVELS:
         raise ValueError(f"unknown ir level {level!r}")
-    # f1: group by subject, entries in clause order, one object each.
-    subjects: list[str] = []
-    by_subject: dict[str, list[tuple[str, str]]] = {}
-    for s, r, o in query.triples:
-        if s not in by_subject:
-            subjects.append(s)
-            by_subject[s] = []
-        by_subject[s].append((r, o))
-    if level == "f1":
-        groups = tuple(
-            (s, tuple((r, (o,)) for r, o in by_subject[s])) for s in subjects)
-    else:
-        groups = []
-        for s in subjects:
-            relations: list[str] = []
-            objs: dict[str, list[str]] = {}
-            for r, o in by_subject[s]:
-                if r not in objs:
-                    relations.append(r)
-                    objs[r] = []
-                objs[r].append(o)
-            groups.append((s, tuple((r, tuple(objs[r])) for r in relations)))
-        if level == "f3":
-            groups = [
-                (s, tuple(sorted(((r, tuple(sorted(os))) for r, os in entries))))
-                for s, entries in groups]
-            groups.sort()
-        groups = tuple(groups)
-    return IrQuery(level, query.form, query.header, groups, query.constraints)
+    return IrQuery(level, query.form, query.header, _group(query.triples, level),
+                   query.constraints)
 
 
 def ir_flatten(ir: IrQuery) -> SparqlQuery:
@@ -224,33 +224,35 @@ def serialize_ir(ir: IrQuery) -> str:
     return " ".join(ir.header) + " { " + body + " }"
 
 
-_RESERVED = {"{", "}", ".", ","}
+# The empty string never comes out of _tokenize: it marks the end of input.
+_RESERVED = frozenset(("{", "}", ".", ",", ""))
 
 
-class _TokenStream:
-    def __init__(self, tokens: Sequence[str]):
-        self.tokens = list(tokens)
-        self.pos = 0
+def _word(tokens: list[str], i: int, what: str,
+          scope: Sequence[str] = (), ordered: bool = False) -> str:
+    """tokens[i], which must be a word new to scope: not among its words,
+    or, when ordered (f3), after the last of them."""
+    tok = tokens[i]
+    if tok in _RESERVED:
+        raise IrDecodeError(f"token {i}: expected {what}, got {tok or 'end of input'!r}")
+    if scope and (tok <= scope[-1] if ordered else tok in scope):
+        raise IrDecodeError(f"token {i}: {what} {tok!r} " + (
+            f"not after {scope[-1]!r}" if ordered else "repeated"))
+    return tok
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise IrDecodeError(
-                "unexpected end of input" +
-                (f" (expected {expected!r})" if expected else ""))
-        if expected is not None and tok != expected:
-            raise IrDecodeError(f"expected {expected!r}, got {tok!r} at token {self.pos}")
-        self.pos += 1
-        return tok
+def _expect(tokens: list[str], i: int, expected: str) -> None:
+    if tokens[i] != expected:
+        raise IrDecodeError(
+            f"token {i}: expected {expected or 'end of input'!r}, "
+            f"got {tokens[i] or 'end of input'!r}")
 
 
 def ir_decode(ir_text: str, level: str) -> SparqlQuery:
-    """Parse grouped text back to the flat clause set.  Malformed input
-    (unbalanced braces, dangling relations) raises IrDecodeError so callers
-    can score the prediction as wrong instead of crashing."""
+    """Parse grouped text back to the flat clause set.  Only text that
+    ir_encode can write at this level is accepted; anything else raises
+    IrDecodeError, so callers can score the prediction as wrong instead of
+    crashing."""
     if level not in IR_LEVELS:
         raise ValueError(f"unknown ir level {level!r}")
     tokens = _tokenize(ir_text)
@@ -264,61 +266,58 @@ def ir_decode(ir_text: str, level: str) -> SparqlQuery:
             form, header, tokens = _parse_header(tokens)
         except SparqlParseError as exc:
             raise IrDecodeError(str(exc)) from exc
-    stream = _TokenStream(tokens)
-    groups = []
-    constraints = []
-    while stream.peek() is not None and stream.peek() != ".":
-        subject = stream.next()
+    tokens.append("")  # the end-of-input marker
+    f1, ordered = level == "f1", level == "f3"
+    subjects: list[str] = []
+    triples = []
+    i = 0
+    while tokens[i] not in (".", ""):
+        s = _word(tokens, i, "subject", subjects, ordered)
         # A triple whose subject is FILTER would re-parse as a constraint.
-        if subject in _RESERVED or subject.upper() == "FILTER":
-            raise IrDecodeError(f"expected a subject, got {subject!r}")
-        stream.next("{")
-        entries = []
+        if s.upper() == "FILTER":
+            raise IrDecodeError(f"token {i}: subject {s!r} would read as a constraint")
+        subjects.append(s)
+        _expect(tokens, i + 1, "{")
+        i += 2
+        # f1 entries are `r o`, and a relation may recur with new objects;
+        # f2/f3 entries are `r { o , ... }`, one per relation.
+        relations: list[str] = []
+        objects_of: dict[str, list[str]] = {}
         while True:
-            relation = stream.next()
-            if relation in _RESERVED:
-                raise IrDecodeError(f"expected a relation, got {relation!r}")
-            tok = stream.peek()
-            if tok == "{":
-                stream.next("{")
-                objects = [stream.next()]
-                if objects[0] in _RESERVED:
-                    raise IrDecodeError(f"expected an object, got {objects[0]!r}")
-                while stream.peek() == ",":
-                    stream.next(",")
-                    obj = stream.next()
-                    if obj in _RESERVED:
-                        raise IrDecodeError(f"expected an object, got {obj!r}")
-                    objects.append(obj)
-                stream.next("}")
-            elif tok is None or tok in ("}", ".", ","):
-                raise IrDecodeError(f"dangling relation {relation!r}")
-            else:
-                objects = [stream.next()]
-            entries.append((relation, tuple(objects)))
-            tok = stream.peek()
-            if tok == ".":
-                stream.next(".")
-                continue
-            if tok == "}":
-                stream.next("}")
+            r = _word(tokens, i, "relation", () if f1 else relations, ordered)
+            relations.append(r)
+            objects = objects_of.setdefault(r, [])
+            i += 1
+            if not f1:
+                _expect(tokens, i, "{")
+                i += 1
+            while True:
+                o = _word(tokens, i, "object", objects, ordered)
+                objects.append(o)
+                triples.append((s, r, o))
+                i += 1
+                if f1 or tokens[i] != ",":
+                    break
+                i += 1
+            if not f1:
+                _expect(tokens, i, "}")
+                i += 1
+            if tokens[i] != ".":
                 break
-            raise IrDecodeError(
-                "unbalanced brace" if tok is None else f"unexpected token {tok!r}")
-        groups.append((subject, tuple(entries)))
-    while stream.peek() == ".":
-        stream.next(".")
-        clause = []
-        while stream.peek() is not None and stream.peek() != ".":
-            clause.append(stream.next())
-        if not clause:
-            raise IrDecodeError("empty constraint clause")
+            i += 1
+        _expect(tokens, i, "}")
+        i += 1
+    if not subjects:
+        raise IrDecodeError("no clause groups")
+    constraints = []
+    while tokens[i] == ".":
+        start = i = i + 1
+        while tokens[i] not in _RESERVED:
+            i += 1
         # Only what parse_sparql reads as a FILTER clause, as the encoder
         # carries nothing else through.
-        if clause[0].upper() != "FILTER" or _RESERVED.intersection(clause):
-            raise IrDecodeError(f"unsupported constraint clause {' '.join(clause)!r}")
-        constraints.append(tuple(clause))
-    if not groups:
-        raise IrDecodeError("no clause groups")
-    ir = IrQuery(level, form, header, tuple(groups), tuple(constraints))
-    return ir_flatten(ir)
+        if i == start or tokens[start].upper() != "FILTER":
+            raise IrDecodeError(f"token {start}: expected a FILTER clause")
+        constraints.append(tuple(tokens[start:i]))
+    _expect(tokens, i, "")
+    return SparqlQuery(form, header, tuple(triples), tuple(constraints))

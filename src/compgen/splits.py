@@ -57,6 +57,13 @@ def load_split(path) -> SplitResult:
     kind, seed, train_fraction = doc.fields(spec, {
         "kind": "a string", "seed": "an integer or null",
         "train_fraction": "a number or null"})
+    where: dict[str, str] = {}
+    for name, ids in (("train", train), ("test", test)):
+        for k, i in enumerate(ids):
+            if i in where:
+                raise doc.error(f"repeated id {i!r} in {name!r}" if where[i] == name
+                                else f"id {i!r} in both 'train' and 'test'", parent=ids, index=k)
+            where[i] = name
     return SplitResult(SplitSpec(kind, spec.get("parameter"), seed or 0, train_fraction),
                        tuple(train), tuple(test), stats or {})
 

@@ -342,11 +342,22 @@ def test_manifest_config_is_the_non_path_options(name, cli_inputs, tmp_path):
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     args = build_parser().parse_args(argv)
     options = [a.dest for a in LEAVES[name]._actions if a.dest != "help"]
+    # The valid arguments give --token-map a file, so it is a path here.
+    paths = PATH_OPTIONS | {"token_map"}
     assert manifest["command"] == name
-    assert manifest["config"] == {k: getattr(args, k) for k in options
-                                  if k not in PATH_OPTIONS}
+    assert manifest["config"] == {k: getattr(args, k) for k in options if k not in paths}
     assert set(manifest["inputs"]) == {getattr(args, k) for k in options
-                                       if k in PATH_OPTIONS - {"out"}}
+                                       if k in paths - {"out"}}
+    assert set(manifest["outputs"]) == {str(out)}
+
+
+def test_manifest_keeps_the_builtin_token_map_in_config(small_dataset, tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert run(["prep", "cgps-prefix", "--in", str(small_dataset), "--token-map", "scan",
+                "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+    assert manifest["config"]["token_map"] == "scan"
+    assert set(manifest["inputs"]) == {str(small_dataset)}
     assert set(manifest["outputs"]) == {str(out)}
 
 
@@ -391,6 +402,17 @@ def test_bad_input_file_exits_2_naming_it(name, option, case, cli_inputs, tmp_pa
     ("eval report", "--in", "null", ":1: expected a JSON object"),
     ("eval report", "--in", '{"a": null}', ":1: expected a JSON object"),
     ("eval curve", "--in", '{"label": null}', ":1: expected a JSON list of points"),
+    ("eval curve", "--in", '[{"divergence": 0.5, "accuracy": 0.1},\n {"divergence": 2, '
+     '"accuracy": 0.5}]', ":2: divergence 2 outside [0, 1]"),
+    ("dbca analyze", "--split", '{"spec": {"kind": "length"}, "train": ["a"],\n '
+     '"test": ["b", "a"]}', ":2: id 'a' in both 'train' and 'test'"),
+    ("dbca analyze", "--split", '{"spec": {"kind": "length"},\n "train": ["a", "b", "a"], '
+     '"test": []}', ":2: repeated id 'a' in 'train'"),
+    # One id a line, as split files are written: the line is the id's own.
+    ("dbca analyze", "--split", '{"spec": {"kind": "length"},\n "train": [\n  "a",\n  "b"\n ],'
+     '\n "test": [\n  "c",\n  "a"\n ]\n}', ":8: id 'a' in both 'train' and 'test'"),
+    ("dbca analyze", "--split", '{"spec": {"kind": "length"},\n "train": [\n  "a",\n  "b",\n'
+     '  "a"\n ],\n "test": []\n}', ":5: repeated id 'a' in 'train'"),
 ])
 def test_json_input_types_checked(name, option, content, message, cli_inputs, tmp_path,
                                   capsys):

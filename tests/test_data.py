@@ -114,6 +114,7 @@ def test_json_file_errors_name_the_line_of_the_value(tmp_path):
             (doc.value["a"][0], {}, ":2: expected a JSON object")]:
         with pytest.raises(data.DataError, match=f"^{path}{message}$"):
             doc.fields(obj, kinds, parent=doc.value["a"])
+    assert doc.error("x", parent=doc.value["a"], index=0).args == (f"{path}:3: x",)
     path.write_text('{"a": 1,\n "b": }')
     with pytest.raises(data.DataError, match=f"^{path}:2: Expecting value$"):
         data.JsonFile(path)

@@ -133,7 +133,21 @@ def test_decode_rejects_or_reparses_to_same_clause_set(case):
     except sparql.IrDecodeError:
         return
     again = sparql.parse_sparql(sparql.serialize_sparql(decoded))
-    assert sparql.clause_set_equal(again, decoded)
+    assert tokens == sparql.serialize_ir(sparql.ir_encode(again, level)).split()
+
+
+@pytest.mark.parametrize("level,bad", [
+    ("f3", "M1 { b { x } } M0 { a { y } }"),   # subjects out of order
+    ("f1", "M0 { a M1 } M0 { b M2 }"),         # a subject heads two groups
+    ("f2", "M0 { a M1 }"),                     # an f1 entry at f2
+    ("f1", "M0 { a { M1 } }"),                 # an f2 entry at f1
+    ("f2", "M0 { a { M1 , M1 } }"),            # a repeated object
+    ("f2", "M0 { a { M1 } . a { M2 } }"),      # a relation repeated in a group
+    ("f1", "M0 { a M1 . a M1 }"),              # a repeated triple
+])
+def test_decode_rejects_what_the_encoder_cannot_write(level, bad):
+    with pytest.raises(sparql.IrDecodeError):
+        sparql.ir_decode(bad, level)
 
 
 QUERY_VOCAB = IR_VOCAB + ["select", "ask", "where"]
