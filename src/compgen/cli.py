@@ -201,12 +201,11 @@ def _eval_curve(args):
     points = []
     for p in doc.value:
         d, a, label = doc.fields(p, _POINT, doc.value)
-        try:
-            evaluation.check_divergence(d)
-        except evaluation.EvalError as exc:
-            raise doc.error(str(exc), p) from exc
         points.append((d, a, label or ""))
-    return evaluation.divergence_curve(points)
+    try:
+        return evaluation.divergence_curve(points)
+    except evaluation.EvalError as exc:
+        raise doc.error(str(exc), parent=doc.value, index=exc.index) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,22 @@
 """Distribution-based compositionality assessment: atom/compound
 extraction from derivation traces, Chernoff-style divergence between
 example sets, and greedy construction of maximum-compound-divergence
-splits with a bounded atom divergence."""
+splits with a bounded atom divergence.
+
+Every divergence is 1 - sum(c^a * d^(1-a)) / (C^a * D^(1-a)) over the
+integer counts c (train) and d (test) of each key, with side totals C and
+D, and _Divergence alone computes it: so `dbca analyze` of a `split mcd`
+file reproduces the file's stats.divergence exactly."""
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .data import DerivationTrace, Example
 from .splits import SplitResult, SplitSpec
@@ -27,12 +34,6 @@ class InfeasibleSplitError(DbcaError):
 
 
 @dataclass(frozen=True)
-class AtomCompoundProfile:
-    atoms: Mapping[str, float]
-    compounds: Mapping[str, float]
-
-
-@dataclass(frozen=True)
 class DivergenceReport:
     atom_divergence: float
     compound_divergence: float
@@ -42,14 +43,7 @@ class DivergenceReport:
     test_size: int
 
     def to_jsonable(self) -> dict:
-        return {
-            "atom_divergence": self.atom_divergence,
-            "compound_divergence": self.compound_divergence,
-            "atom_alpha": self.atom_alpha,
-            "compound_alpha": self.compound_alpha,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-        }
+        return asdict(self)
 
 
 def extract_atoms(trace: DerivationTrace) -> Counter:
@@ -70,26 +64,9 @@ def extract_compounds(trace: DerivationTrace) -> Counter:
     return compounds
 
 
-def _normalize(counts: Mapping[str, float]) -> dict[str, float]:
-    total = sum(counts.values())
-    if total <= 0:
-        return {}
-    return {k: v / total for k, v in counts.items()}
-
-
-def profile(examples: Sequence[Example]) -> AtomCompoundProfile:
-    """Summed, normalized atom and compound frequencies of a set of examples."""
-    atoms, compounds = Counter(), Counter()
-    for ex in examples:
-        if ex.derivation is None:
-            raise DbcaError(f"example {ex.id!r} has no derivation trace")
-        atoms.update(extract_atoms(ex.derivation))
-        compounds.update(extract_compounds(ex.derivation))
-    return AtomCompoundProfile(_normalize(atoms), _normalize(compounds))
-
-
 def divergence(p: Mapping[str, float], q: Mapping[str, float], alpha: float) -> float:
-    """1 minus the Chernoff coefficient sum(p^alpha * q^(1-alpha)), in [0, 1]."""
+    """1 minus the Chernoff coefficient sum(p^alpha * q^(1-alpha)), in [0, 1]:
+    the reference over distributions that the tests check _Divergence against."""
     if not 0 < alpha < 1:
         raise DbcaError(f"alpha must be in (0, 1), got {alpha}")
     for name, dist in (("P", p), ("Q", q)):
@@ -102,20 +79,29 @@ def divergence(p: Mapping[str, float], q: Mapping[str, float], alpha: float) -> 
     return min(max(1.0 - coeff, 0.0), 1.0)
 
 
+def _check_args(examples: Iterable[Example], atom_alpha: float,
+                compound_alpha: float) -> None:
+    for alpha in (atom_alpha, compound_alpha):
+        if not 0 < alpha < 1:
+            raise DbcaError(f"alpha must be in (0, 1), got {alpha}")
+    for ex in examples:
+        if ex.derivation is None:
+            raise DbcaError(f"example {ex.id!r} has no derivation trace")
+
+
 def measure(train: Sequence[Example], test: Sequence[Example],
             atom_alpha: float = DEFAULT_ATOM_ALPHA,
             compound_alpha: float = DEFAULT_COMPOUND_ALPHA) -> DivergenceReport:
-    """Divergence report for an existing partition (e.g. a released split)."""
-    p_train, p_test = profile(train), profile(test)
-    return DivergenceReport(
-        atom_divergence=divergence(p_train.atoms, p_test.atoms, atom_alpha),
-        compound_divergence=divergence(p_train.compounds, p_test.compounds,
-                                       compound_alpha),
-        atom_alpha=atom_alpha,
-        compound_alpha=compound_alpha,
-        train_size=len(train),
-        test_size=len(test),
-    )
+    """Divergence report for an existing partition (e.g. a released split),
+    each side summed into one row and counted as build_mcd_split's report."""
+    _check_args(chain(train, test), atom_alpha, compound_alpha)
+    atoms, compounds = (Counter(), Counter()), (Counter(), Counter())
+    for side, examples in enumerate((train, test)):
+        for ex in examples:
+            atoms[side].update(extract_atoms(ex.derivation))
+            compounds[side].update(extract_compounds(ex.derivation))
+    return _report(_id_rows(atoms), _id_rows(compounds), [0], [1],
+                   atom_alpha, compound_alpha, len(train), len(test))
 
 
 def _id_rows(counters) -> list[tuple]:
@@ -147,7 +133,8 @@ class _Divergence:
         self.pow_train = array("d", [0.0] + [float(c) ** alpha for c in range(1, top + 1)])
         self.pow_test = array("d", [0.0] + [float(d) ** (1 - alpha) for d in range(1, top + 1)])
         pa, pb = self.pow_train, self.pow_test
-        self.chernoff_sum = sum(pa[c] * pb[d] for c, d in zip(self.train, self.test))
+        # fsum: the fresh value depends on the counts, not on the key order.
+        self.chernoff_sum = math.fsum(pa[c] * pb[d] for c, d in zip(self.train, self.test))
         self._pending = None
 
     def value(self) -> float:
@@ -155,7 +142,8 @@ class _Divergence:
 
     def _value(self, chernoff_sum: float, train_total: int, test_total: int) -> float:
         if train_total <= 0 or test_total <= 0:
-            return 1.0
+            # Two empty sides are equal; an empty and a non-empty one share nothing.
+            return 0.0 if train_total == test_total == 0 else 1.0
         norm = train_total ** self.alpha * test_total ** (1 - self.alpha)
         return min(max(1.0 - chernoff_sum / norm, 0.0), 1.0)
 
@@ -187,6 +175,16 @@ class _Divergence:
             test[k] += v
         self.train_total -= shift
         self.test_total += shift
+
+
+def _report(atom_rows: Sequence[tuple], compound_rows: Sequence[tuple],
+            train_idx, test_idx, atom_alpha: float, compound_alpha: float,
+            train_size: int, test_size: int) -> DivergenceReport:
+    """Rows train_idx against rows test_idx, counted afresh, atoms then compounds."""
+    return DivergenceReport(
+        _Divergence(atom_rows, train_idx, test_idx, atom_alpha).value(),
+        _Divergence(compound_rows, train_idx, test_idx, compound_alpha).value(),
+        atom_alpha, compound_alpha, train_size, test_size)
 
 
 def build_mcd_split(examples: Sequence[Example],
@@ -223,12 +221,7 @@ def build_mcd_split(examples: Sequence[Example],
         raise DbcaError("target compound divergence must be in [0, 1]")
     if not 0 < train_fraction < 1:
         raise DbcaError("train_fraction must be in (0, 1)")
-    for alpha in (atom_alpha, compound_alpha):
-        if not 0 < alpha < 1:
-            raise DbcaError(f"alpha must be in (0, 1), got {alpha}")
-    for ex in examples:
-        if ex.derivation is None:
-            raise DbcaError(f"example {ex.id!r} has no derivation trace")
+    _check_args(examples, atom_alpha, compound_alpha)
     if len(examples) < 2:
         raise DbcaError("need at least two examples")
 
@@ -274,10 +267,8 @@ def build_mcd_split(examples: Sequence[Example],
     # so that it and the recount are never held at once.
     atom_rows, comp_rows = atoms.rows, comps.rows
     del atoms, comps
-    report = DivergenceReport(
-        _Divergence(atom_rows, train_idx, test_idx, atom_alpha).value(),
-        _Divergence(comp_rows, train_idx, test_idx, compound_alpha).value(),
-        atom_alpha, compound_alpha, len(train_idx), len(test_idx))
+    report = _report(atom_rows, comp_rows, train_idx, test_idx,
+                     atom_alpha, compound_alpha, len(train_idx), len(test_idx))
     if report.atom_divergence > max_atom_divergence + 1e-9:
         raise InfeasibleSplitError(
             f"could not reach atom divergence <= {max_atom_divergence} "

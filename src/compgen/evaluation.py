@@ -21,7 +21,11 @@ DEFAULT_OOV_TOKEN = "<unk>"
 
 
 class EvalError(ValueError):
-    pass
+    """index, when given, is the position of the offending item in the input."""
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -217,18 +221,15 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     return buckets
 
 
-def check_divergence(div: float) -> None:
-    """A divergence lies in [0, 1]."""
-    if not 0 <= div <= 1:
-        raise EvalError(f"divergence {div} outside [0, 1]")
-
-
 def divergence_curve(points: Iterable[tuple[float, float, str]]) -> str:
     """CSV (divergence,accuracy,label) sorted by divergence, for external
-    plotting of accuracy-vs-compound-divergence curves."""
+    plotting of accuracy-vs-compound-divergence curves.  A divergence
+    outside [0, 1] raises EvalError with the point's index."""
+    points = list(points)
+    for k, (div, _, _) in enumerate(points):
+        if not 0 <= div <= 1:
+            raise EvalError(f"divergence {div} outside [0, 1]", k)
     rows = sorted(points, key=lambda p: (p[0], p[2], p[1]))
-    for div, _, _ in rows:
-        check_divergence(div)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["divergence", "accuracy", "label"])

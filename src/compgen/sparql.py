@@ -19,6 +19,10 @@ that heads two groups, a relation repeated in one group (f2/f3), a repeated
 object or triple, f3 subjects, relations or objects that are not strictly
 increasing, a group whose subject is FILTER, a clause after the groups that
 is not a FILTER clause, and a header parse_sparql would not accept.
+
+A header is exactly `ASK WHERE`, `SELECT count(*) WHERE` or `SELECT DISTINCT`
+with one or more projected terms before `WHERE`, keywords in any case;
+clause_set_equal compares the projected terms as well as the clauses.
 """
 
 from __future__ import annotations
@@ -71,8 +75,18 @@ def _tokenize(text: str) -> list[str]:
     return text.split()
 
 
+# The empty string never comes out of _tokenize: it marks the end of input.
+_RESERVED = frozenset(("{", "}", ".", ",", ""))
+
+# Keywords of the header forms; none of them, and no IR punctuation, can be
+# a projected term of SELECT DISTINCT.
+_HEADER_WORDS = frozenset(("SELECT", "DISTINCT", "COUNT(*)", "ASK", "WHERE"))
+
+
 def _parse_header(tokens: list[str]) -> tuple[str, tuple[str, ...], list[str]]:
-    """Split off the SELECT/ASK header; returns (form, header, body tokens)."""
+    """Split off the header; returns (form, header, body tokens).  The
+    header is one of `ASK WHERE`, `SELECT count(*) WHERE` and `SELECT
+    DISTINCT term... WHERE` with at least one term, keywords in any case."""
     if "{" not in tokens:
         return "bare", (), tokens
     open_idx = tokens.index("{")
@@ -80,22 +94,20 @@ def _parse_header(tokens: list[str]) -> tuple[str, tuple[str, ...], list[str]]:
     if tokens[-1] != "}":
         raise SparqlParseError("expected trailing '}'")
     body = tokens[open_idx + 1:-1]
-    if not header or header[-1].upper() != "WHERE":
+    words = [t.upper() for t in header]
+    if not header or words[-1] != "WHERE":
         raise SparqlParseError("expected WHERE before '{'")
-    head = header[0].upper()
-    if head == "ASK":
+    if words == ["ASK", "WHERE"]:
         form = "ask"
-    elif head == "SELECT":
-        if len(header) < 2:
-            raise SparqlParseError("incomplete SELECT header")
-        if header[1].upper() in ("COUNT(*)", "COUNT"):
-            form = "select_count"
-        elif header[1].upper() == "DISTINCT":
-            form = "select_distinct"
-        else:
-            raise SparqlParseError(f"unsupported SELECT form {header[1]!r}")
+    elif words == ["SELECT", "COUNT(*)", "WHERE"]:
+        form = "select_count"
+    elif words[:2] == ["SELECT", "DISTINCT"] and len(header) > 3:
+        form = "select_distinct"
+        for term, word in zip(header[2:-1], words[2:-1]):
+            if term in _RESERVED or word in _HEADER_WORDS:
+                raise SparqlParseError(f"{term!r} cannot be a projected term")
     else:
-        raise SparqlParseError(f"unsupported query form {header[0]!r}")
+        raise SparqlParseError(f"unsupported query header {' '.join(header)!r}")
     return form, tuple(header), body
 
 
@@ -146,10 +158,16 @@ def parse_sparql(text: str) -> SparqlQuery:
     return SparqlQuery(form, header, tuple(triples), tuple(constraints))
 
 
+def _projection(query: SparqlQuery) -> tuple[str, ...]:
+    """The header tokens between the form keywords and WHERE."""
+    return query.header[2:-1] if query.form == "select_distinct" else ()
+
+
 def clause_set_equal(a: SparqlQuery, b: SparqlQuery) -> bool:
-    """Triples as a set, constraints as a sequence, query form preserved."""
-    return (a.form == b.form and set(a.triples) == set(b.triples)
-            and a.constraints == b.constraints)
+    """Triples as a set, constraints as a sequence, query form and projected
+    terms preserved."""
+    return (a.form == b.form and _projection(a) == _projection(b)
+            and set(a.triples) == set(b.triples) and a.constraints == b.constraints)
 
 
 def _group(triples: Iterable[tuple[str, str, str]], level: str) -> tuple:
@@ -222,10 +240,6 @@ def serialize_ir(ir: IrQuery) -> str:
     if ir.form == "bare":
         return body
     return " ".join(ir.header) + " { " + body + " }"
-
-
-# The empty string never comes out of _tokenize: it marks the end of input.
-_RESERVED = frozenset(("{", "}", ".", ",", ""))
 
 
 def _word(tokens: list[str], i: int, what: str,

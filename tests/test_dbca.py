@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compgen import dbca, scan
+from compgen import dbca, scan, splits
 
 
 def trace_of(command):
@@ -57,32 +57,27 @@ def test_compounds_local():
     assert a == b
 
 
-def test_profile_normalized(scan_dataset):
-    prof = dbca.profile(scan_dataset[:25])
-    assert math.isclose(sum(prof.atoms.values()), 1.0, abs_tol=1e-9)
-    assert math.isclose(sum(prof.compounds.values()), 1.0, abs_tol=1e-9)
+def test_measure_duplication_invariant(scan_dataset):
+    # Doubling every count leaves the formula unchanged; c^a and d^(1-a)
+    # round differently, so the values agree to a few ulps, not bit for bit.
+    train, test = scan_dataset[:10], scan_dataset[10:16]
+    once, twice = dbca.measure(train, test), dbca.measure(train + train, test + test)
+    assert math.isclose(twice.atom_divergence, once.atom_divergence, abs_tol=1e-12)
+    assert math.isclose(twice.compound_divergence, once.compound_divergence, abs_tol=1e-12)
 
 
-def test_profile_duplication_invariant(scan_dataset):
-    sample = scan_dataset[:10]
-    assert dbca.profile(sample).atoms == dbca.profile(sample + sample).atoms
-
-
-def test_profile_mixture(scan_dataset):
-    left, right = scan_dataset[:8], scan_dataset[8:20]
-    pl, pr = dbca.profile(left), dbca.profile(right)
-    pu = dbca.profile(left + right)
-    wl = sum(len(list(ex.derivation.iter_nodes())) for ex in left)
-    wr = sum(len(list(ex.derivation.iter_nodes())) for ex in right)
-    for key in set(pl.atoms) | set(pr.atoms):
-        mixed = (wl * pl.atoms.get(key, 0) + wr * pr.atoms.get(key, 0)) / (wl + wr)
-        assert math.isclose(pu.atoms[key], mixed, abs_tol=1e-12)
-
-
-def test_profile_requires_trace():
+def test_measure_requires_trace(scan_dataset):
     from compgen.data import Example
     with pytest.raises(dbca.DbcaError):
-        dbca.profile([Example("x", ("a",), ("A",))])
+        dbca.measure(scan_dataset[:2], [Example("x", ("a",), ("A",))])
+
+
+def test_measure_empty_sides(scan_dataset):
+    empty = dbca.measure([], [])
+    assert (empty.atom_divergence, empty.compound_divergence) == (0.0, 0.0)
+    for train, test in ((scan_dataset[:5], []), ([], scan_dataset[:5])):
+        one = dbca.measure(train, test)
+        assert (one.atom_divergence, one.compound_divergence) == (1.0, 1.0)
 
 
 def test_divergence_hand_computed():
@@ -129,6 +124,28 @@ def test_divergence_relabel_invariant(p, q, alpha):
                         dbca.divergence(p2, q2, alpha), abs_tol=1e-12)
 
 
+# dbca.measure of the SCAN holdouts, (atom, compound) divergence, as pinned
+# by the benchmark's checks (bench/checks.py PINNED_DIVERGENCE).
+PINNED_DIVERGENCE = [
+    (lambda ds: splits.build_primitive_holdout(ds, "jump"),
+     (0.09481244080073459, 0.15585297973734813)),
+    (lambda ds: splits.build_template_holdout(ds, "$Primitive around right"),
+     (0.05818199719396777, 0.1754722423116074)),
+    (lambda ds: splits.build_length_split(ds, 22),
+     (0.03897150452591358, 0.0485118000717355)),
+]
+
+
+@pytest.mark.parametrize("build,expected", PINNED_DIVERGENCE)
+def test_measure_of_the_holdouts_is_pinned(scan_dataset, build, expected):
+    result = build(scan_dataset)
+    by_id = {ex.id: ex for ex in scan_dataset}
+    report = dbca.measure([by_id[i] for i in result.train_ids],
+                          [by_id[i] for i in result.test_ids])
+    assert abs(report.atom_divergence - expected[0]) < 1e-9
+    assert abs(report.compound_divergence - expected[1]) < 1e-9
+
+
 def _small_sample(scan_dataset, n=400, seed=3):
     rng = random.Random(seed)
     return rng.sample(scan_dataset, n)
@@ -150,10 +167,10 @@ def test_incremental_divergence_matches_divergence(scan_dataset):
             state.propose(train[ti], test[si])
             state.commit()
             train[ti], test[si] = test[si], train[ti]
-        expected = dbca.divergence(
-            dbca._normalize(sum((extract(sample[i].derivation) for i in train), Counter())),
-            dbca._normalize(sum((extract(sample[i].derivation) for i in test), Counter())),
-            alpha)
+        p, q = (sum((extract(sample[i].derivation) for i in side), Counter())
+                for side in (train, test))
+        expected = dbca.divergence({k: v / p.total() for k, v in p.items()},
+                                   {k: v / q.total() for k, v in q.items()}, alpha)
         assert abs(state.value() - expected) < 1e-9
 
 
@@ -202,7 +219,6 @@ def test_mcd_deterministic(scan_dataset):
 def test_mcd_target_zero_stays_near_random(scan_dataset):
     sample = _small_sample(scan_dataset)
     by_id = {ex.id: ex for ex in sample}
-    from compgen import splits
     rand = splits.build_random_split(sample, seed=5, train_fraction=0.8)
     rand_rep = dbca.measure([by_id[i] for i in rand.train_ids],
                             [by_id[i] for i in rand.test_ids])

@@ -85,6 +85,12 @@ def test_clause_set_scoring():
     assert evaluation.score_run([PredictionRecord("1", tuple(pred))], golds) == 0.0
     broken = PredictionRecord("1", ("M0", "a"))
     assert evaluation.score_run([broken], golds, clause_set=True) == 0.0
+    # The projected terms are part of the query.
+    golds = {"1": "SELECT DISTINCT ?x0 WHERE { ?x0 a M1 . ?x1 b M2 }".split()}
+    for pred, score in (("SELECT DISTINCT ?x0 WHERE { ?x1 b M2 . ?x0 a M1 }", 1.0),
+                        ("SELECT DISTINCT ?x1 WHERE { ?x0 a M1 . ?x1 b M2 }", 0.0)):
+        assert evaluation.score_run([PredictionRecord("1", tuple(pred.split()))], golds,
+                                    clause_set=True) == score
 
 
 def test_aggregate_constant_replicas():
@@ -194,6 +200,10 @@ def test_divergence_curve_sorted_and_labeled():
 def test_divergence_curve_range_check():
     with pytest.raises(evaluation.EvalError):
         evaluation.divergence_curve([(1.5, 0.2, "x")])
+    # The index is the point's position in the input, not in sorted order.
+    with pytest.raises(evaluation.EvalError) as info:
+        evaluation.divergence_curve([(0.9, 0.2, "a"), (-0.1, 0.2, "b"), (0.5, 0.3, "c")])
+    assert info.value.index == 1
 
 
 def stat(mean, var=None, kind="stdev", n=5):

@@ -30,6 +30,26 @@ def test_parse_full_query_forms():
     assert q.form == "select_count"
     q = sparql.parse_sparql("ASK WHERE { M0 ns:a.b M1 }")
     assert q.form == "ask"
+    q = sparql.parse_sparql("select distinct ?x0 M1 where { ?x0 a M1 }")
+    assert (q.form, q.header) == ("select_distinct", ("select", "distinct", "?x0", "M1", "where"))
+    assert sparql.parse_sparql("Select Count(*) Where { M0 a M1 }").form == "select_count"
+    assert sparql.parse_sparql("ask where { M0 a M1 }").form == "ask"
+
+
+@pytest.mark.parametrize("header", [
+    "SELECT DISTINCT } , . WHERE",   # IR punctuation as projected terms
+    "SELECT DISTINCT WHERE",         # no projected term
+    "SELECT DISTINCT ?x0 distinct WHERE",
+    "SELECT ?x0 WHERE",
+    "SELECT count(*) ?x0 WHERE",
+    "ASK ?x0 WHERE",
+    "SELECT COUNT WHERE",
+])
+def test_header_outside_the_grammar_is_rejected(header):
+    with pytest.raises(sparql.SparqlParseError):
+        sparql.parse_sparql(f"{header} {{ M0 a M1 }}")
+    with pytest.raises(sparql.IrDecodeError):
+        sparql.ir_decode(f"{header} {{ M0 {{ a {{ M1 }} }} }}", "f2")
 
 
 def test_parse_duplicate_triples_warns():

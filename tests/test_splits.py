@@ -124,6 +124,18 @@ def test_partition_and_fairness(scan_dataset, build):
     assert result.stats["test_vocab_missing_from_train"] == []
 
 
+# Split sizes published by Lake & Baroni 2018 (arXiv:1711.00350); the
+# "turn left" train size is the rest of the 20,910 commands.
+@pytest.mark.parametrize("build,sizes", [
+    (lambda ds: splits.build_primitive_holdout(ds, "jump"), (13204, 7706)),
+    (lambda ds: splits.build_primitive_holdout(ds, "turn left"), (19702, 1208)),
+    (lambda ds: splits.build_length_split(ds, 22), (16990, 3920)),
+])
+def test_published_split_sizes(scan_dataset, build, sizes):
+    result = build(scan_dataset)
+    assert (len(result.train_ids), len(result.test_ids)) == sizes
+
+
 def test_split_json_roundtrip(tmp_path, scan_dataset):
     result = splits.build_subcommand_holdout(scan_dataset, "jump around right")
     path = tmp_path / "split.json"
