@@ -16,6 +16,10 @@ class DataError(ValueError):
     pass
 
 
+# json.dumps builds a new encoder per call for any non-default option.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 # The value kinds JsonFile.fields checks; "<kind> or null" also admits a
 # null or missing value.
 _KINDS = {
@@ -119,15 +123,29 @@ class DerivationTrace:
     def to_jsonable(self):
         return [self.rule, [c.to_jsonable() for c in self.children]]
 
-    @classmethod
-    def from_jsonable(cls, obj) -> "DerivationTrace":
-        rule, children = obj
-        return cls(rule, tuple(cls.from_jsonable(c) for c in children))
+    @staticmethod
+    def from_jsonable(obj) -> "DerivationTrace":
+        return _interned_trace(obj, {})
 
     def iter_nodes(self) -> Iterator["DerivationTrace"]:
         yield self
         for child in self.children:
             yield from child.iter_nodes()
+
+
+def _interned_trace(obj, memo: dict) -> DerivationTrace:
+    """The trace of obj, built so that equal subtrees are one object: memo
+    maps (rule, ids of the interned children) to the node, and a leaf's
+    rule to the leaf.  The children are interned first and memo keeps them
+    alive, so their ids stay unique; the trees are frozen, so sharing them
+    is safe."""
+    rule, children = obj
+    kids = tuple([_interned_trace(c, memo) for c in children])
+    key = (rule, *map(id, kids)) if kids else rule
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = DerivationTrace(rule, kids)
+    return node
 
 
 @dataclass(frozen=True)
@@ -166,7 +184,8 @@ def load_dataset(path, format: Optional[str] = None) -> list[Example]:
     """Load Examples from a jsonl or tsv file.
 
     format defaults from the file suffix.  Missing ids are assigned from a
-    content hash; duplicate ids are an error.
+    content hash; duplicate ids are an error.  Equal derivation subtrees
+    of the loaded examples are one shared object.
     """
     path = Path(path)
     if format is None:
@@ -176,6 +195,7 @@ def load_dataset(path, format: Optional[str] = None) -> list[Example]:
 
     examples = []
     seen = set()
+    traces: dict = {}  # the memo of _interned_trace, for this load only
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -191,7 +211,7 @@ def load_dataset(path, format: Optional[str] = None) -> list[Example]:
                     inp, out = _tokens(obj["input"]), _tokens(obj["output"])
                     trace = None
                     if obj.get("derivation") is not None:
-                        trace = DerivationTrace.from_jsonable(obj["derivation"])
+                        trace = _interned_trace(obj["derivation"], traces)
                     ex = Example(
                         id=obj.get("id") or content_id(inp, out),
                         input=inp,
@@ -224,7 +244,7 @@ def save_dataset(examples: Iterable[Example], path, format: str = "jsonl") -> No
                     obj["derivation"] = ex.derivation.to_jsonable()
                 if ex.meta:
                     obj["meta"] = dict(ex.meta)
-                fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                fh.write(_ENCODER.encode(obj) + "\n")
 
 
 def load_predictions(path) -> list[PredictionRecord]:
@@ -256,7 +276,7 @@ def save_predictions(records: Iterable[PredictionRecord], path) -> None:
         for rec in records:
             obj = {"id": rec.example_id, "prediction": list(rec.tokens),
                    "replica": rec.replica}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_ENCODER.encode(obj) + "\n")
 
 
 # Default token map for SCAN: command words that map directly to actions.

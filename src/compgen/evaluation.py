@@ -223,12 +223,13 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
 
 def divergence_curve(points: Iterable[tuple[float, float, str]]) -> str:
     """CSV (divergence,accuracy,label) sorted by divergence, for external
-    plotting of accuracy-vs-compound-divergence curves.  A divergence
-    outside [0, 1] raises EvalError with the point's index."""
+    plotting of accuracy-vs-compound-divergence curves.  A divergence or
+    an accuracy outside [0, 1] raises EvalError with the point's index."""
     points = list(points)
-    for k, (div, _, _) in enumerate(points):
-        if not 0 <= div <= 1:
-            raise EvalError(f"divergence {div} outside [0, 1]", k)
+    for k, (div, acc, _) in enumerate(points):
+        for name, value in (("divergence", div), ("accuracy", acc)):
+            if not 0 <= value <= 1:
+                raise EvalError(f"{name} {value} outside [0, 1]", k)
     rows = sorted(points, key=lambda p: (p[0], p[2], p[1]))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 
@@ -404,6 +405,10 @@ def test_bad_input_file_exits_2_naming_it(name, option, case, cli_inputs, tmp_pa
     ("eval curve", "--in", '{"label": null}', ":1: expected a JSON list of points"),
     ("eval curve", "--in", '[{"divergence": 0.5, "accuracy": 0.1},\n {"divergence": 2, '
      '"accuracy": 0.5}]', ":2: divergence 2 outside [0, 1]"),
+    ("eval curve", "--in", '[{"divergence": 0.5, "accuracy": 7},\n {"divergence": 0.2, '
+     '"accuracy": -1, "label": "x"}]', ":1: accuracy 7 outside [0, 1]"),
+    ("eval curve", "--in", '[{"divergence": 0.5, "accuracy": 0.7},\n {"divergence": 0.2, '
+     '"accuracy": -1, "label": "x"}]', ":2: accuracy -1 outside [0, 1]"),
     ("dbca analyze", "--split", '{"spec": {"kind": "length"}, "train": ["a"],\n '
      '"test": ["b", "a"]}', ":2: id 'a' in both 'train' and 'test'"),
     ("dbca analyze", "--split", '{"spec": {"kind": "length"},\n "train": ["a", "b", "a"], '
@@ -422,3 +427,62 @@ def test_json_input_types_checked(name, option, content, message, cli_inputs, tm
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("compgen: error:") and f"{bad}{message}" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored(enabled, small_dataset, tmp_path):
+    """Each subcommand runs with the cyclic collector paused; afterwards
+    the caller's state is back, on success and on exit 2."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(["split", "length", "--in", str(small_dataset),
+                    "--out", str(tmp_path / "s.json")]) == 0
+        assert gc.isenabled() is enabled
+        assert run(["split", "length", "--in", str(tmp_path / "missing.jsonl"),
+                    "--out", str(tmp_path / "s.json")]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _pipeline_argvs(examples, d):
+    """argv of dbca analyze, prep cgps-prefix and eval score on examples,
+    with their inputs written to the directory d."""
+    ds, split, pred = d / "ds.jsonl", d / "split.json", d / "pred.jsonl"
+    data.save_dataset(examples, ds)
+    splits.save_split(splits.build_random_split(examples, 1, 0.8), split)
+    data.save_predictions([data.PredictionRecord(ex.id, ex.output, r)
+                           for r in range(3) for ex in examples], pred)
+    return [["dbca", "analyze", "--in", str(ds), "--split", str(split),
+             "--out", str(d / "div.json")],
+            ["prep", "cgps-prefix", "--in", str(ds), "--token-map", "scan",
+             "--out", str(d / "prefixed.jsonl")],
+            ["eval", "score", "--gold", str(ds), "--pred", str(pred),
+             "--out", str(d / "score.json")]]
+
+
+def test_subcommands_leave_no_data_proportional_cycles(scan_dataset, tmp_path):
+    """Pausing the collector is safe only while a subcommand's garbage
+    holds no reference cycles that grow with its input: the cycles left
+    behind (argparse's parser) must not depend on the data size."""
+    small, large = tmp_path / "small", tmp_path / "large"
+    small.mkdir()
+    large.mkdir()
+    sized = [_pipeline_argvs(scan_dataset[:50], small),
+             _pipeline_argvs(scan_dataset[::20], large)]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for argvs in [sized[0]] + sized:  # the first pass warms up imports
+            counts = []
+            for argv in argvs:
+                gc.collect()
+                assert run(argv) == 0
+                counts.append(gc.collect())
+            found.append(counts)
+    finally:
+        if was:
+            gc.enable()
+    assert found[1] == found[2]

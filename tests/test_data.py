@@ -12,6 +12,7 @@ def test_tsv_load(tmp_path):
     assert examples[0].input == ("jump",)
     assert examples[0].output == ("JUMP",)
     assert examples[1].input == ("jump", "twice")
+    assert all(ex.derivation is None for ex in examples)
 
 
 def test_jsonl_roundtrip_with_trace(tmp_path):
@@ -33,6 +34,7 @@ def test_jsonl_string_tokens(tmp_path):
     (ex,) = data.load_dataset(path)
     assert ex.input == ("jump", "twice")
     assert ex.id == data.content_id(ex.input, ex.output)
+    assert ex.derivation is None
 
 
 def test_duplicate_ids_error(tmp_path):
@@ -45,9 +47,24 @@ def test_duplicate_ids_error(tmp_path):
 
 def test_malformed_line_reports_lineno(tmp_path):
     path = tmp_path / "d.jsonl"
-    path.write_text('{"input": ["a"], "output": ["A"]}\nnot json\n')
-    with pytest.raises(data.DataError, match=":2:"):
-        data.load_dataset(path)
+    for bad in ["not json", '{"input": ["a"], "output": ["A"], "derivation": ["r", null]}']:
+        path.write_text('{"input": ["a"], "output": ["A"]}\n' + bad + "\n")
+        with pytest.raises(data.DataError, match=":2:"):
+            data.load_dataset(path)
+
+
+def test_loaded_traces_share_equal_subtrees(scan_dataset, tmp_path):
+    path = tmp_path / "scan.jsonl"
+    data.save_dataset(scan_dataset, path)
+    loaded = data.load_dataset(path)
+    assert len(loaded) == len(scan_dataset)
+    assert all(a == b for a, b in zip(loaded, scan_dataset))
+    # One object per distinct subtree of the whole file, not per occurrence.
+    nodes = {id(node) for ex in loaded for node in ex.derivation.iter_nodes()}
+    assert len(nodes) == 41_821
+    (ex,) = [ex for ex in loaded if ex.input == ("jump", "and", "jump")]
+    (conj,) = ex.derivation.children
+    assert conj.rule == "and" and conj.children[0] is conj.children[1]
 
 
 def test_predictions_roundtrip(tmp_path):

@@ -204,6 +204,13 @@ def test_divergence_curve_range_check():
     with pytest.raises(evaluation.EvalError) as info:
         evaluation.divergence_curve([(0.9, 0.2, "a"), (-0.1, 0.2, "b"), (0.5, 0.3, "c")])
     assert info.value.index == 1
+    # The accuracy is checked too.
+    with pytest.raises(evaluation.EvalError, match=r"^accuracy 7 outside \[0, 1\]$") as info:
+        evaluation.divergence_curve([(0.5, 7, ""), (0.2, -1, "x")])
+    assert info.value.index == 0
+    with pytest.raises(evaluation.EvalError, match="accuracy -1 outside") as info:
+        evaluation.divergence_curve([(0.5, 0.7, ""), (0.2, -1, "x")])
+    assert info.value.index == 1
 
 
 def stat(mean, var=None, kind="stdev", n=5):
