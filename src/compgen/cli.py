@@ -75,25 +75,6 @@ def _write_manifest(args) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _map_lines(fn, path) -> str:
-    """Apply fn to each non-blank line of the file (stdin when path is None).
-    A ValueError from fn is reported with the file and the line number,
-    counting blank lines; input without a non-blank line is an error."""
-    text = sys.stdin.read() if path is None else Path(path).read_text(encoding="utf-8")
-    name = "<stdin>" if path is None else path
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(fn(line) + "\n")
-        except ValueError as exc:
-            raise data.DataError(f"{name}:{lineno}: {exc}") from exc
-    if not out:
-        raise data.DataError(f"{name}: no lines")
-    return "".join(out)
-
-
 @contextmanager
 def _collector_paused():
     """Run the body with the cyclic garbage collector off, then restore the
@@ -112,11 +93,11 @@ def _collector_paused():
 
 @contextmanager
 def _naming(path):
-    """Prefix an EvalError about a prediction file with its path."""
+    """Prefix an error about the predictions of a file with its path."""
     try:
         yield
-    except evaluation.EvalError as exc:
-        raise evaluation.EvalError(f"{path}: {exc}") from exc
+    except evaluation.PredictionError as exc:
+        raise evaluation.PredictionError(f"{path}: {exc}") from exc
 
 
 def _scan_generate(args):
@@ -124,8 +105,8 @@ def _scan_generate(args):
 
 
 def _scan_interpret(args):
-    return _map_lines(lambda line: " ".join(scan.interpret(scan.parse_command(line))),
-                      args.infile)
+    return "".join(data.read_lines(args.infile, lambda line: " ".join(
+        scan.interpret(scan.parse_command(line))) + "\n", "lines"))
 
 
 def _dbca_analyze(args):
@@ -142,13 +123,13 @@ def _dbca_analyze(args):
 
 
 def _ir_encode(args):
-    return _map_lines(lambda line: sparql.serialize_ir(
-        sparql.ir_encode(sparql.parse_sparql(line), args.level)), args.infile)
+    return "".join(data.read_lines(args.infile, lambda line: sparql.serialize_ir(
+        sparql.ir_encode(sparql.parse_sparql(line), args.level)) + "\n", "lines"))
 
 
 def _ir_decode(args):
-    return _map_lines(lambda line: sparql.serialize_sparql(
-        sparql.ir_decode(line, args.level)), args.infile)
+    return "".join(data.read_lines(args.infile, lambda line: sparql.serialize_sparql(
+        sparql.ir_decode(line, args.level)) + "\n", "lines"))
 
 
 def _prep_cgps_prefix(args):

@@ -1,5 +1,14 @@
 """Dataset and prediction file I/O, plus input prefixing for models that
-assume every output token maps from an input token."""
+assume every output token maps from an input token.
+
+Line files (jsonl and tsv datasets, prediction files, the text inputs of
+the CLI's line commands) are read by read_lines: it skips whitespace-only
+lines but counts them, and an error names the file and line.  A JSON
+dataset line has "id" (a string or null), "input" and "output" (each a
+string or a list of strings), "derivation" (null or a [rule, [subtree,
+...]] tree of string rules) and "meta" (a JSON object or null); a
+prediction line has "id" (a string), "prediction" (a string or a list of
+strings) and "replica" (an integer or null, default 0)."""
 
 from __future__ import annotations
 
@@ -7,6 +16,8 @@ import bisect
 import hashlib
 import json
 import re
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -138,12 +149,16 @@ def _interned_trace(obj, memo: dict) -> DerivationTrace:
     maps (rule, ids of the interned children) to the node, and a leaf's
     rule to the leaf.  The children are interned first and memo keeps them
     alive, so their ids stay unique; the trees are frozen, so sharing them
-    is safe."""
+    is safe.  A memo hit has a checked rule: rules are checked on creation."""
     rule, children = obj
+    if type(children) is not list:
+        raise TypeError("children must be a list")
     kids = tuple([_interned_trace(c, memo) for c in children])
     key = (rule, *map(id, kids)) if kids else rule
     node = memo.get(key)
     if node is None:
+        if type(rule) is not str:
+            raise TypeError("a rule must be a string")
         node = memo[key] = DerivationTrace(rule, kids)
     return node
 
@@ -174,62 +189,100 @@ def content_id(input_tokens: Sequence[str], output_tokens: Sequence[str]) -> str
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _tokens(value) -> tuple[str, ...]:
-    if isinstance(value, str):
+# The keys of a JSON dataset line and of a prediction line, and the kind
+# of each value; a key of a kind "... or null" may also be missing.
+_TOKENS = "a string or a list of strings"
+_EXAMPLE_LINE = {"id": "a string or null", "input": _TOKENS, "output": _TOKENS,
+                 "derivation": "a tree [rule, [subtree, ...]] of string rules or null",
+                 "meta": "a JSON object or null"}
+_PREDICTION_LINE = {"id": "a string", "prediction": _TOKENS, "replica": "an integer or null"}
+
+
+def _mistyped(line_keys: Mapping[str, str], key: str) -> TypeError:
+    return TypeError(f"{key!r} must be {line_keys[key]}")
+
+
+def _json_object(line: str) -> dict:
+    obj = json.loads(line)
+    if type(obj) is not dict:
+        raise TypeError("expected a JSON object")
+    return obj
+
+
+def _tokens(obj: dict, key: str) -> tuple[str, ...]:
+    """obj[key] as tokens: a string splits on whitespace; joining a list
+    checks at C speed that it holds only strings."""
+    value = obj[key]
+    if type(value) is str:
         return tuple(value.split())
-    return tuple(value)
+    if type(value) is list:
+        try:
+            "".join(value)
+        except TypeError:
+            pass
+        else:
+            return tuple(value)
+    raise TypeError(f"{key!r} must be {_TOKENS}")
 
 
-def load_dataset(path, format: Optional[str] = None) -> list[Example]:
-    """Load Examples from a jsonl or tsv file.
-
-    format defaults from the file suffix.  Missing ids are assigned from a
-    content hash; duplicate ids are an error.  Equal derivation subtrees
-    of the loaded examples are one shared object.
-    """
-    path = Path(path)
-    if format is None:
-        format = "tsv" if path.suffix in (".tsv", ".txt") else "jsonl"
-    if format not in ("jsonl", "tsv"):
-        raise DataError(f"unsupported format {format!r}")
-
-    examples = []
-    seen = set()
-    traces: dict = {}  # the memo of _interned_trace, for this load only
-    with open(path, encoding="utf-8") as fh:
+def read_lines(path, parse, what: str) -> list:
+    """parse(line) for each line not whitespace only of the file at path
+    (stdin when path is None).  A ValueError, KeyError (a missing key),
+    TypeError or RecursionError from parse becomes a DataError naming the
+    file and the line; input without such a line is one saying "no <what>"."""
+    name = "<stdin>" if path is None else path
+    items = []
+    with nullcontext(sys.stdin) if path is None else open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if line.isspace():
                 continue
             try:
-                if format == "tsv":
-                    inp_text, out_text = line.split("\t")
-                    inp, out = _tokens(inp_text), _tokens(out_text)
-                    ex = Example(content_id(inp, out), inp, out)
-                else:
-                    obj = json.loads(line)
-                    inp, out = _tokens(obj["input"]), _tokens(obj["output"])
-                    trace = None
-                    if obj.get("derivation") is not None:
-                        trace = _interned_trace(obj["derivation"], traces)
-                    ex = Example(
-                        id=obj.get("id") or content_id(inp, out),
-                        input=inp,
-                        output=out,
-                        derivation=trace,
-                        meta=obj.get("meta", {}),
-                    )
-            except DataError:
-                raise
-            except Exception as exc:
-                raise DataError(f"{path}:{lineno}: malformed line: {exc}") from exc
-            if ex.id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {ex.id!r}")
-            seen.add(ex.id)
-            examples.append(ex)
-    if not examples:
-        raise DataError(f"{path}: no examples")
-    return examples
+                items.append(parse(line))
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise DataError(f"{name}:{lineno}: {message}") from exc
+    if not items:
+        raise DataError(f"{name}: no {what}")
+    return items
+
+
+def load_dataset(path) -> list[Example]:
+    """Load Examples from a tsv file (suffix .tsv or .txt) or a jsonl file.
+    Missing ids are assigned from a content hash; duplicate ids are an
+    error.  Equal derivation subtrees are one shared object."""
+    tsv = Path(path).suffix in (".tsv", ".txt")
+    seen = set()
+    traces: dict = {}  # the memo of _interned_trace, for this load only
+
+    def example(line):
+        if tsv:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError("expected input<TAB>output")
+            inp, out = (tuple(f.split()) for f in fields)
+            ex_id, trace, meta = None, None, {}
+        else:
+            obj = _json_object(line)
+            inp, out = _tokens(obj, "input"), _tokens(obj, "output")
+            ex_id, trace, meta = obj.get("id"), obj.get("derivation"), obj.get("meta")
+            if type(ex_id) is not str and ex_id is not None:
+                raise _mistyped(_EXAMPLE_LINE, "id")
+            if trace is not None:
+                try:
+                    trace = _interned_trace(trace, traces)
+                except (ValueError, TypeError):
+                    raise _mistyped(_EXAMPLE_LINE, "derivation") from None
+            if meta is None:
+                meta = {}
+            elif type(meta) is not dict:
+                raise _mistyped(_EXAMPLE_LINE, "meta")
+        ex = Example(ex_id or content_id(inp, out), inp, out, trace, meta)
+        if ex.id in seen:
+            raise DataError(f"duplicate id {ex.id!r}")
+        seen.add(ex.id)
+        return ex
+
+    return read_lines(path, example, "examples")
 
 
 def save_dataset(examples: Iterable[Example], path, format: str = "jsonl") -> None:
@@ -248,27 +301,20 @@ def save_dataset(examples: Iterable[Example], path, format: str = "jsonl") -> No
 
 
 def load_predictions(path) -> list[PredictionRecord]:
-    """Load prediction records: one JSON object per line with keys
-    id, prediction, replica (replica optional, default 0)."""
-    path = Path(path)
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(PredictionRecord(
-                    example_id=obj["id"],
-                    tokens=_tokens(obj["prediction"]),
-                    replica=int(obj.get("replica", 0)),
-                ))
-            except Exception as exc:
-                raise DataError(f"{path}:{lineno}: malformed prediction: {exc}") from exc
-    if not records:
-        raise DataError(f"{path}: no predictions")
-    return records
+    """Load prediction records: one JSON object per line with keys id,
+    prediction and replica (optional, default 0)."""
+    def record(line):
+        obj = _json_object(line)
+        ex_id, replica = obj["id"], obj.get("replica")
+        if type(ex_id) is not str:
+            raise _mistyped(_PREDICTION_LINE, "id")
+        if replica is None:
+            replica = 0
+        elif type(replica) is not int:
+            raise _mistyped(_PREDICTION_LINE, "replica")
+        return PredictionRecord(ex_id, _tokens(obj, "prediction"), replica)
+
+    return read_lines(path, record, "predictions")
 
 
 def save_predictions(records: Iterable[PredictionRecord], path) -> None:

@@ -9,6 +9,7 @@ import io
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -28,13 +29,16 @@ class EvalError(ValueError):
         self.index = index
 
 
+class PredictionError(EvalError):
+    """An error about the prediction records, not about an option."""
+
+
 @dataclass(frozen=True)
 class AggregateStat:
     mean: float
     variance_value: float
     variance_kind: str  # stdev | ci95 | ci95_bootstrap
     n: int
-    degenerate: bool = False  # single replica: variance is 0 by convention
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,9 @@ def _matches(predictions: Iterable[PredictionRecord],
     matched = {}
     for rec in predictions:
         if rec.example_id not in golds:
-            raise EvalError(f"prediction for unknown id {rec.example_id!r}")
+            raise PredictionError(f"prediction for unknown id {rec.example_id!r}")
         if rec.example_id in matched:
-            raise EvalError(f"multiple predictions for id {rec.example_id!r}")
+            raise PredictionError(f"multiple predictions for id {rec.example_id!r}")
         gold = golds[rec.example_id]
         matched[rec.example_id] = (
             _clause_set_match(rec.tokens, gold) if clause_set
@@ -134,7 +138,7 @@ def score_replicas(predictions: Iterable[PredictionRecord],
     for rec in predictions:
         by_replica.setdefault(rec.replica, []).append(rec)
     if not by_replica:
-        raise EvalError("no predictions")
+        raise PredictionError("no predictions")
     return {rep: score_run(recs, golds, **options)
             for rep, recs in sorted(by_replica.items())}
 
@@ -146,21 +150,22 @@ def aggregate_replicas(accuracies: Sequence[float], kind: str = "stdev",
 
     stdev is the sample standard deviation; ci95 the normal-approximation
     half-width 1.96 * stdev / sqrt(n); ci95_bootstrap a percentile bootstrap
-    half-width for comparison.
+    half-width for comparison.  Each is 0 for a single replica.
     """
+    if kind not in ("stdev", "ci95", "ci95_bootstrap"):
+        raise EvalError(f"unknown variance kind {kind!r}")
     accuracies = list(accuracies)
     if not accuracies:
         raise EvalError("no replica accuracies")
     mean = sum(accuracies) / len(accuracies)
     n = len(accuracies)
     if n == 1:
-        return AggregateStat(mean, 0.0, kind, 1, degenerate=True)
-    stdev = statistics.stdev(accuracies)
-    if kind == "stdev":
-        value = stdev
+        value = 0.0
+    elif kind == "stdev":
+        value = statistics.stdev(accuracies)
     elif kind == "ci95":
-        value = 1.96 * stdev / math.sqrt(n)
-    elif kind == "ci95_bootstrap":
+        value = 1.96 * statistics.stdev(accuracies) / math.sqrt(n)
+    else:
         rng = random.Random(seed)
         means = sorted(
             sum(rng.choice(accuracies) for _ in range(n)) / n
@@ -168,8 +173,6 @@ def aggregate_replicas(accuracies: Sequence[float], kind: str = "stdev",
         lo = means[int(0.025 * bootstrap_samples)]
         hi = means[min(int(0.975 * bootstrap_samples), bootstrap_samples - 1)]
         value = (hi - lo) / 2
-    else:
-        raise EvalError(f"unknown variance kind {kind!r}")
     return AggregateStat(mean, value, kind, n)
 
 
@@ -194,28 +197,20 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     def bucket_of(n: int) -> int:
         return (n - 1) // bucket_width
 
-    train_counts: dict[int, int] = {}
-    for ex in train_set:
-        b = bucket_of(length(ex))
-        train_counts[b] = train_counts.get(b, 0) + 1
-    test_counts: dict[int, int] = {}
-    correct: dict[int, int] = {}
-    for ex in golds:
-        b = bucket_of(length(ex))
-        test_counts[b] = test_counts.get(b, 0) + 1
-        if matched.get(ex.id, False):
-            correct[b] = correct.get(b, 0) + 1
+    train_counts = Counter(bucket_of(length(ex)) for ex in train_set)
+    test_counts = Counter(bucket_of(length(ex)) for ex in golds)
+    correct = Counter(bucket_of(length(ex)) for ex in golds if matched.get(ex.id, False))
 
     max_train_len = max((length(ex) for ex in train_set), default=0)
     buckets = []
     for b in sorted(set(train_counts) | set(test_counts)):
         low, high = b * bucket_width + 1, (b + 1) * bucket_width
-        n_test = test_counts.get(b, 0)
+        n_test = test_counts[b]
         buckets.append(LengthBucket(
             low=low, high=high,
-            train_count=train_counts.get(b, 0),
+            train_count=train_counts[b],
             test_count=n_test,
-            accuracy=(correct.get(b, 0) / n_test) if n_test else None,
+            accuracy=(correct[b] / n_test) if n_test else None,
             unseen_length=low > max_train_len,
         ))
     return buckets
@@ -239,26 +234,15 @@ def divergence_curve(points: Iterable[tuple[float, float, str]]) -> str:
     return out.getvalue()
 
 
-def render_results_table(results: Mapping[str, Mapping[str, Optional[AggregateStat]]],
-                         splits: Optional[Sequence[str]] = None,
-                         bold_margin: float = 0.5) -> str:
-    """Markdown table: rows are models, columns are splits, cells are
-    mean +/- variance in percentage points.  Missing entries render as '-';
-    cells within bold_margin of the column best are bolded; the variance
-    kind(s) are footnoted."""
-    if splits is None:
-        seen: list[str] = []
-        for per_model in results.values():
-            for s in per_model:
-                if s not in seen:
-                    seen.append(s)
-        splits = seen
-    best: dict[str, float] = {}
-    for per_model in results.values():
-        for s in splits:
-            stat = per_model.get(s)
-            if stat is not None and (s not in best or stat.mean > best[s]):
-                best[s] = stat.mean
+def render_results_table(results: Mapping[str, Mapping[str, Optional[AggregateStat]]]) -> str:
+    """Markdown table: rows are models, columns are splits in order of first
+    appearance, cells are mean +/- variance in percentage points.  Missing
+    entries render as '-'; cells within 0.5 points of the column best are
+    bolded; the variance kind(s) are footnoted."""
+    splits = list(dict.fromkeys(s for per_model in results.values() for s in per_model))
+    best = {s: max((stat.mean for per_model in results.values()
+                    if (stat := per_model.get(s)) is not None), default=None)
+            for s in splits}
     lines = ["| Model | " + " | ".join(splits) + " |",
              "|" + " --- |" * (len(splits) + 1)]
     kinds = []
@@ -274,11 +258,10 @@ def render_results_table(results: Mapping[str, Mapping[str, Optional[AggregateSt
                 text += f" ± {stat.variance_value:.1f}"
             if stat.variance_kind not in kinds:
                 kinds.append(stat.variance_kind)
-            if stat.mean >= best[s] - bold_margin:
+            if stat.mean >= best[s] - 0.5:
                 text = f"**{text}**"
             cells.append(text)
         lines.append(f"| {model} | " + " | ".join(cells) + " |")
     if kinds:
-        lines.append("")
-        lines.append("Variance reported: " + ", ".join(kinds) + ".")
+        lines += ["", "Variance reported: " + ", ".join(kinds) + "."]
     return "\n".join(lines) + "\n"

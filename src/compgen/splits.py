@@ -70,17 +70,12 @@ def load_split(path) -> SplitResult:
 
 def _split_stats(dataset: Sequence[Example], train_ids, test_ids) -> dict:
     by_id = {ex.id: ex for ex in dataset}
-    train_vocab = set()
-    for i in train_ids:
-        train_vocab.update(by_id[i].input)
-    test_vocab = set()
-    for i in test_ids:
-        test_vocab.update(by_id[i].input)
-    missing = sorted(test_vocab - train_vocab)
+    train_vocab = {tok for i in train_ids for tok in by_id[i].input}
+    test_vocab = {tok for i in test_ids for tok in by_id[i].input}
     return {
         "train_size": len(train_ids),
         "test_size": len(test_ids),
-        "test_vocab_missing_from_train": missing,
+        "test_vocab_missing_from_train": sorted(test_vocab - train_vocab),
     }
 
 
@@ -117,12 +112,8 @@ def build_primitive_holdout(dataset: Sequence[Example], primitive: str) -> Split
     phrase = tuple(primitive.split())
     train, test = [], []
     for ex in dataset:
-        if ex.input == phrase:
-            train.append(ex.id)
-        elif _contains_phrase(ex.input, phrase):
-            test.append(ex.id)
-        else:
-            train.append(ex.id)
+        held_out = ex.input != phrase and _contains_phrase(ex.input, phrase)
+        (test if held_out else train).append(ex.id)
     spec = SplitSpec("primitive_holdout", primitive)
     return _result(dataset, spec, train, test)
 
@@ -159,10 +150,8 @@ def build_template_holdout(dataset: Sequence[Example], template: str) -> SplitRe
         instantiations.append(phrase)
     train, test = [], []
     for ex in dataset:
-        if any(_contains_phrase(ex.input, p) for p in instantiations):
-            test.append(ex.id)
-        else:
-            train.append(ex.id)
+        held_out = any(_contains_phrase(ex.input, p) for p in instantiations)
+        (test if held_out else train).append(ex.id)
     spec = SplitSpec("template_holdout", template)
     return _result(dataset, spec, train, test)
 

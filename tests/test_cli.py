@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import io
 import json
 
 import pytest
@@ -52,6 +53,18 @@ def test_scan_interpret_error_names_line(tmp_path, capsys):
     infile.write_text("jump\n\nwalk frob\n")
     assert run(["scan", "interpret", "--in", str(infile)]) == 2
     assert f"{infile}:3: unknown word 'frob' (at token 1)" in capsys.readouterr().err
+
+
+def test_line_commands_read_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("jump\n \t\nwalk twice\n"))
+    assert run(["scan", "interpret"]) == 0
+    assert capsys.readouterr().out == "JUMP\nWALK WALK\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("M0 { a M1 }\n\nM0 {\n"))
+    assert run(["ir", "decode", "--level", "f1"]) == 2
+    assert capsys.readouterr().err.startswith("compgen: error: <stdin>:3: ")
+    monkeypatch.setattr("sys.stdin", io.StringIO(" \n"))
+    assert run(["ir", "encode", "--level", "f1"]) == 2
+    assert capsys.readouterr().err == "compgen: error: <stdin>: no lines\n"
 
 
 def test_split_subcommands(tmp_path, small_dataset):
@@ -254,6 +267,44 @@ def test_eval_prediction_errors_name_file(tmp_path, capsys):
     assert f"{pred}: prediction for unknown id '9'" in capsys.readouterr().err
 
 
+def test_option_errors_do_not_name_the_prediction_file(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"id": "1", "input": ["a"], "output": ["A"]}) + "\n")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"id": "1", "prediction": ["A"]}) + "\n")
+    assert run(["eval", "length-breakdown", "--gold", str(gold), "--pred", str(pred),
+                "--train", str(gold), "--bucket-width", "0"]) == 2
+    assert capsys.readouterr().err == "compgen: error: bucket_width must be >= 1\n"
+
+
+# Each a well-formed JSON line with a value of the wrong type, for a
+# dataset (prep cgps-prefix) or a prediction file (eval score).
+@pytest.mark.parametrize("option,line,message", [
+    ("--in", {"id": "a", "input": [1, 2], "output": ["A"]},
+     "'input' must be a string or a list of strings"),
+    ("--in", {"id": "a", "input": ["a"], "output": ["A"], "meta": [1]},
+     "'meta' must be a JSON object or null"),
+    ("--in", {"id": "a", "input": [], "output": ["A"]}, "example 'a' has empty input or output"),
+    ("--in", {"id": 5, "input": ["a"], "output": ["A"]}, "'id' must be a string or null"),
+    ("--in", {"id": "a", "input": ["a"], "output": ["A"], "derivation": [5, [[None, []]]]},
+     "'derivation' must be"),
+    ("--pred", {"id": "a", "prediction": ["A"], "replica": 0.7},
+     "'replica' must be an integer or null"),
+    ("--pred", {"id": "a", "prediction": ["A"], "replica": True},
+     "'replica' must be an integer or null"),
+])
+def test_mistyped_line_exits_2_naming_its_line(option, line, message, tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"id": "a", "input": ["a"], "output": ["A"]}) + "\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n" + json.dumps(line) + "\n")
+    argv = (["prep", "cgps-prefix", "--in", str(bad), "--identity", "--out",
+             str(tmp_path / "out.jsonl")] if option == "--in" else
+            ["eval", "score", "--gold", str(gold), "--pred", str(bad)])
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"compgen: error: {bad}:2: {message}")
+
+
 # Every leaf subcommand, enumerated from the parser, with valid arguments
 # ({name} is a file of the cli_inputs fixture) except --out.
 VALID_ARGS = {
@@ -367,16 +418,19 @@ BAD_INPUTS = [(name, INPUT_OPTIONS[a.dest]) for name, p in sorted(LEAVES.items()
 
 
 @pytest.mark.parametrize("name,option", BAD_INPUTS)
-@pytest.mark.parametrize("case", ["missing", "empty", "malformed"])
+@pytest.mark.parametrize("case", ["missing", "empty", "malformed", "mistyped"])
 def test_bad_input_file_exits_2_naming_it(name, option, case, cli_inputs, tmp_path, capsys):
     bad = tmp_path / "bad.in"
     if case != "missing":
-        bad.write_text("" if case == "empty" else "{ x\n")
+        # mistyped: well-formed JSON, of the wrong types for a dataset or
+        # a prediction line.
+        bad.write_text({"empty": "", "malformed": "{ x\n", "mistyped": json.dumps(
+            {"id": 5, "input": [1], "output": [2], "prediction": [3], "replica": 0.5})}[case])
     argv = leaf_argv(name, cli_inputs, **{option: bad}) + ["--out", str(tmp_path / "out")]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("compgen: error:") and "Traceback" not in err
-    assert (f"{bad}:1: " if case == "malformed" else str(bad)) in err
+    assert (f"{bad}:1: " if case in ("malformed", "mistyped") else str(bad)) in err
 
 
 @pytest.mark.parametrize("name,option,content,message", [

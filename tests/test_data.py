@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compgen import data, scan
 
@@ -51,6 +55,126 @@ def test_malformed_line_reports_lineno(tmp_path):
         path.write_text('{"input": ["a"], "output": ["A"]}\n' + bad + "\n")
         with pytest.raises(data.DataError, match=":2:"):
             data.load_dataset(path)
+
+
+EXAMPLE_LINE = {"id": "a", "input": ["jump"], "output": ["JUMP"],
+                "derivation": ["r", [["s", []]]], "meta": {"k": [1]}}
+PREDICTION_LINE = {"id": "a", "prediction": ["JUMP"], "replica": 1}
+
+
+def _with(line, **values):
+    return json.dumps({**line, **values})
+
+
+# One well-formed JSON line each, with a value of the wrong type or shape.
+@pytest.mark.parametrize("load,line,message", [
+    (data.load_dataset, _with(EXAMPLE_LINE, input=[1, 2]),
+     "'input' must be a string or a list of strings"),
+    (data.load_dataset, _with(EXAMPLE_LINE, meta=[1]), "'meta' must be a JSON object or null"),
+    (data.load_dataset, _with(EXAMPLE_LINE, input=[]), "example 'a' has empty input or output"),
+    (data.load_dataset, _with(EXAMPLE_LINE, id=5), "'id' must be a string or null"),
+    (data.load_dataset, _with(EXAMPLE_LINE, derivation=[5, [[None, []]]]),
+     "'derivation' must be a tree [rule, [subtree, ...]] of string rules or null"),
+    (data.load_dataset, _with(EXAMPLE_LINE, derivation={"r": 0, "": 0}), "'derivation' must"),
+    (data.load_dataset, _with(EXAMPLE_LINE, derivation=["r", ""]), "'derivation' must"),
+    (data.load_dataset, "[1]", "expected a JSON object"),
+    (data.load_dataset, _with({}, output=["A"]), "missing key 'input'"),
+    (data.load_predictions, _with(PREDICTION_LINE, replica=0.7),
+     "'replica' must be an integer or null"),
+    (data.load_predictions, _with(PREDICTION_LINE, replica=True),
+     "'replica' must be an integer or null"),
+    (data.load_predictions, _with(PREDICTION_LINE, id=None), "'id' must be a string"),
+    (data.load_predictions, _with(PREDICTION_LINE, prediction={"A": 1}),
+     "'prediction' must be a string or a list of strings"),
+], ids=["input-ints", "meta-list", "input-empty", "id-int", "rule-int", "derivation-object",
+        "children-string", "not-an-object", "no-input", "replica-float", "replica-bool",
+        "id-null", "prediction-object"])
+def test_mistyped_line_names_file_and_line(load, line, message, tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(data.DataError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}:1: {message}")
+
+
+@pytest.mark.parametrize("name,good,bad", [
+    ("d.jsonl", _with(EXAMPLE_LINE), _with(EXAMPLE_LINE, id="b", output="")),
+    ("d.tsv", "jump\tJUMP", "walk"),
+], ids=["jsonl", "tsv"])
+def test_whitespace_only_lines_are_skipped_but_counted(name, good, bad, tmp_path):
+    path = tmp_path / name
+    path.write_text(f" \t\n{good}\n\n  \n")
+    assert len(data.load_dataset(path)) == 1
+    path.write_text(f"{good}\n \t\n{bad}\n")
+    with pytest.raises(data.DataError, match=f"^{path}:3: "):
+        data.load_dataset(path)
+    path.write_text(" \n\t\n")
+    with pytest.raises(data.DataError, match=f"^{path}: no examples$"):
+        data.load_dataset(path)
+
+
+def _json_values():
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=3), children, max_size=3),
+        max_leaves=6)
+
+
+def _positions(value, path=()):
+    """The path of every value inside a JSON value, the whole one included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _positions(item, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _trace_is_typed(trace):
+    return (isinstance(trace, data.DerivationTrace) and type(trace.rule) is str
+            and type(trace.children) is tuple and all(map(_trace_is_typed, trace.children)))
+
+
+def _typed(record):
+    if isinstance(record, data.PredictionRecord):
+        return (type(record.example_id) is str and type(record.replica) is int
+                and type(record.tokens) is tuple and all(type(t) is str for t in record.tokens))
+    return (type(record.id) is str and isinstance(record.meta, dict)
+            and all(type(t) is tuple and t and all(type(x) is str for x in t)
+                    for t in (record.input, record.output))
+            and (record.derivation is None or _trace_is_typed(record.derivation)))
+
+
+# (loader, valid line, the path of one value in it)
+REPLACEABLE = [(load, line, position)
+               for load, line in ((data.load_dataset, EXAMPLE_LINE),
+                                  (data.load_predictions, PREDICTION_LINE))
+               for position in list(_positions(line))[1:]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REPLACEABLE), _json_values())
+def test_any_replaced_value_loads_typed_or_names_its_line(case, new):
+    load, line, position = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.jsonl"
+        # The first line has its own id, and the same derivation nodes.
+        path.write_text(_with(line, id="first") + "\n\n"
+                        + json.dumps(_replaced(line, position, new)) + "\n")
+        try:
+            records = load(path)
+        except data.DataError as exc:
+            assert str(exc).startswith(f"{path}:3: ")
+        else:
+            assert len(records) == 2 and all(map(_typed, records))
 
 
 def test_loaded_traces_share_equal_subtrees(scan_dataset, tmp_path):

@@ -114,7 +114,7 @@ def test_aggregate_ci95_formula():
 
 def test_aggregate_single_replica_flagged():
     agg = evaluation.aggregate_replicas([0.7], "stdev")
-    assert agg.degenerate and agg.variance_value == 0.0 and agg.mean == 0.7
+    assert agg.n == 1 and agg.variance_value == 0.0 and agg.mean == 0.7
 
 
 def test_aggregate_bootstrap_reasonable():
@@ -132,6 +132,12 @@ def test_aggregate_mean_in_hull():
 def test_aggregate_empty():
     with pytest.raises(evaluation.EvalError):
         evaluation.aggregate_replicas([])
+
+
+@pytest.mark.parametrize("accs", [[0.5], [0.5, 0.7]])
+def test_aggregate_unknown_kind(accs):
+    with pytest.raises(evaluation.EvalError, match="unknown variance kind 'bogus'"):
+        evaluation.aggregate_replicas(accs, "bogus")
 
 
 def _length_fixture():
