@@ -101,7 +101,7 @@ def _naming(path):
 
 
 def _scan_generate(args):
-    data.save_dataset(scan.enumerate_dataset(), args.out, args.format)
+    data.save_dataset(scan.enumerate_dataset(), args.out)
 
 
 def _scan_interpret(args):
@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=dbca.DEFAULT_COMPOUND_ALPHA)
 
     scan_sub = group("scan", "dataset generation and interpretation")
-    p = leaf(scan_sub, "generate", _scan_generate, "enumerate the full dataset", out=True)
-    p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
+    leaf(scan_sub, "generate", _scan_generate,
+         "enumerate the full dataset (tsv for --out *.tsv or *.txt, else jsonl)", out=True)
     p = leaf(scan_sub, "interpret", _scan_interpret, "map commands (one per line) to actions")
     p.add_argument("--in", dest="infile")
 

@@ -29,6 +29,7 @@ class DataError(ValueError):
 
 # json.dumps builds a new encoder per call for any non-default option.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+_TSV_SUFFIXES = (".tsv", ".txt")  # a dataset file with another suffix is jsonl
 
 
 # The value kinds JsonFile.fields checks; "<kind> or null" also admits a
@@ -50,11 +51,15 @@ class JsonFile:
 
     def __init__(self, path):
         self.path = path
-        self.text = Path(path).read_text(encoding="utf-8")
         try:
+            self.text = Path(path).read_text(encoding="utf-8")
             self.value = json.loads(self.text)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def fields(self, obj, kinds: Mapping[str, str], parent=None) -> list:
         """obj[key] for each key of kinds, in order.  obj must be a JSON
@@ -78,7 +83,10 @@ class JsonFile:
         value, or at parent when value is a scalar, or at line 1 when both
         are scalars."""
         node = value if isinstance(value, (dict, list)) else parent
-        return DataError(f"{self.path}:{self._line(node, index)}: {message}")
+        try:
+            return DataError(f"{self.path}:{self._line(node, index)}: {message}")
+        except RecursionError:  # nested deeper than the decode that finds lines can go
+            return DataError(f"{self.path}: {message}")
 
     def _line(self, node, index=None) -> int:
         if not isinstance(node, (dict, list)):
@@ -225,22 +233,30 @@ def _tokens(obj: dict, key: str) -> tuple[str, ...]:
     raise TypeError(f"{key!r} must be {_TOKENS}")
 
 
+def _undecodable(name, exc: UnicodeDecodeError, lines_before: int = 0) -> DataError:
+    """At the line of the first byte not UTF-8.  A text file decodes a chunk
+    only once its earlier lines are read: exc.object follows lines_before."""
+    line = lines_before + exc.object.count(b"\n", 0, exc.start) + 1
+    return DataError(f"{name}:{line}: not valid UTF-8 at byte 0x{exc.object[exc.start]:02x}")
+
+
 def read_lines(path, parse, what: str) -> list:
     """parse(line) for each line not whitespace only of the file at path
-    (stdin when path is None).  A ValueError, KeyError (a missing key),
-    TypeError or RecursionError from parse becomes a DataError naming the
-    file and the line; input without such a line is one saying "no <what>"."""
+    (stdin when path is None).  A byte that is not UTF-8, or a ValueError,
+    KeyError (a missing key), TypeError or RecursionError from parse, is a
+    DataError naming the file and line; no such line is one saying "no <what>"."""
     name = "<stdin>" if path is None else path
-    items = []
+    items, lineno = [], 0
     with nullcontext(sys.stdin) if path is None else open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                items.append(parse(line))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise DataError(f"{name}:{lineno}: {message}") from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.isspace():
+                    items.append(parse(line))
+        except UnicodeDecodeError as exc:  # from reading fh: parse gets text
+            raise _undecodable(name, exc, lineno) from exc
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise DataError(f"{name}:{lineno}: {message}") from exc
     if not items:
         raise DataError(f"{name}: no {what}")
     return items
@@ -250,7 +266,7 @@ def load_dataset(path) -> list[Example]:
     """Load Examples from a tsv file (suffix .tsv or .txt) or a jsonl file.
     Missing ids are assigned from a content hash; duplicate ids are an
     error.  Equal derivation subtrees are one shared object."""
-    tsv = Path(path).suffix in (".tsv", ".txt")
+    tsv = Path(path).suffix in _TSV_SUFFIXES
     seen = set()
     traces: dict = {}  # the memo of _interned_trace, for this load only
 
@@ -285,11 +301,12 @@ def load_dataset(path) -> list[Example]:
     return read_lines(path, example, "examples")
 
 
-def save_dataset(examples: Iterable[Example], path, format: str = "jsonl") -> None:
-    path = Path(path)
+def save_dataset(examples: Iterable[Example], path) -> None:
+    """Write tsv (input and output only) or jsonl, by suffix as load_dataset reads."""
+    tsv = Path(path).suffix in _TSV_SUFFIXES
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
-            if format == "tsv":
+            if tsv:
                 fh.write(" ".join(ex.input) + "\t" + " ".join(ex.output) + "\n")
             else:
                 obj = {"id": ex.id, "input": list(ex.input), "output": list(ex.output)}

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .data import DerivationTrace, Example
-from .splits import SplitResult, SplitSpec
+from .splits import SplitResult, SplitSpec, random_partition
 
 DEFAULT_ATOM_ALPHA = 0.5
 DEFAULT_COMPOUND_ALPHA = 0.1
@@ -201,11 +201,12 @@ def build_mcd_split(examples: Sequence[Example],
     close as possible to the target while the atom divergence stays within
     the bound.
 
-    Starts from a seeded random partition at train_fraction; repeatedly
-    proposes train/test example swaps and accepts strict improvements of
-    |compound divergence - target| that keep the atom bound.  Stops after
-    `iterations` consecutive proposals without improvement or after
-    max_proposals in total.
+    Starts from `split random`'s partition for the same seed and
+    train_fraction (splits.random_partition); then, drawing from the same
+    rng, repeatedly proposes train/test example swaps and accepts strict
+    improvements of |compound divergence - target| that keep the atom
+    bound.  Stops after `iterations` consecutive proposals without
+    improvement or after max_proposals in total.
 
     The search state is integer: atoms and compounds are numbered in
     first-seen order over `examples`, each example is a tuple of (id, count)
@@ -219,18 +220,9 @@ def build_mcd_split(examples: Sequence[Example],
     """
     if not 0 <= target_compound_divergence <= 1:
         raise DbcaError("target compound divergence must be in [0, 1]")
-    if not 0 < train_fraction < 1:
-        raise DbcaError("train_fraction must be in (0, 1)")
     _check_args(examples, atom_alpha, compound_alpha)
-    if len(examples) < 2:
-        raise DbcaError("need at least two examples")
-
     rng = random.Random(seed)
-    order = list(range(len(examples)))
-    rng.shuffle(order)
-    cut = int(round(train_fraction * len(order)))
-    cut = min(max(cut, 1), len(order) - 1)
-    train_idx, test_idx = order[:cut], order[cut:]
+    train_idx, test_idx = random_partition(len(examples), rng, train_fraction)
 
     atoms = _Divergence(_id_rows(extract_atoms(ex.derivation) for ex in examples),
                         train_idx, test_idx, atom_alpha)

@@ -68,40 +68,56 @@ def load_split(path) -> SplitResult:
                        tuple(train), tuple(test), stats or {})
 
 
-def _split_stats(dataset: Sequence[Example], train_ids, test_ids) -> dict:
-    by_id = {ex.id: ex for ex in dataset}
-    train_vocab = {tok for i in train_ids for tok in by_id[i].input}
-    test_vocab = {tok for i in test_ids for tok in by_id[i].input}
-    return {
-        "train_size": len(train_ids),
-        "test_size": len(test_ids),
-        "test_vocab_missing_from_train": sorted(test_vocab - train_vocab),
-    }
+def _result(spec: SplitSpec, train: list[Example], test: list[Example]) -> SplitResult:
+    train_vocab, test_vocab = ({tok for ex in side for tok in ex.input} for side in (train, test))
+    return SplitResult(spec, tuple([ex.id for ex in train]), tuple([ex.id for ex in test]),
+                       {"train_size": len(train), "test_size": len(test),
+                        "test_vocab_missing_from_train": sorted(test_vocab - train_vocab)})
 
 
-def _result(dataset, spec, train_ids, test_ids) -> SplitResult:
-    return SplitResult(spec, tuple(train_ids), tuple(test_ids),
-                       _split_stats(dataset, train_ids, test_ids))
+def random_partition(n: int, rng: random.Random, train_fraction: float) -> tuple[list, list]:
+    """The indices 0..n-1 shuffled by rng and cut into (train, test) at
+    round(train_fraction * n), within [1, n - 1] so that neither is empty."""
+    if n < 2:
+        raise SplitError(f"need at least two examples, got {n}")
+    if not 0 < train_fraction < 1:
+        raise SplitError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    order = list(range(n))
+    rng.shuffle(order)
+    cut = min(max(round(train_fraction * n), 1), n - 1)
+    return order[:cut], order[cut:]
 
 
 def build_random_split(dataset: Sequence[Example], seed: int,
                        train_fraction: float) -> SplitResult:
-    if not dataset:
-        raise SplitError("empty dataset")
-    if not 0 < train_fraction < 1:
-        raise SplitError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    ids = [ex.id for ex in dataset]
-    rng = random.Random(seed)
-    rng.shuffle(ids)
-    cut = int(round(train_fraction * len(ids)))
-    spec = SplitSpec("random", None, seed, train_fraction)
-    return _result(dataset, spec, ids[:cut], ids[cut:])
+    train, test = random_partition(len(dataset), random.Random(seed), train_fraction)
+    return _result(SplitSpec("random", None, seed, train_fraction),
+                   [dataset[i] for i in train], [dataset[i] for i in test])
 
 
-def _contains_phrase(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
+def _holdout(dataset: Sequence[Example], spec: SplitSpec, held_out) -> SplitResult:
+    """Each example to test if held_out(example), else to train."""
+    train, test = [], []
+    for ex in dataset:
+        (test if held_out(ex) else train).append(ex)
+    return _result(spec, train, test)
+
+
+def _contains_phrase(tokens: Sequence[str], phrase: tuple[str, ...]) -> bool:
     n = len(phrase)
-    phrase = tuple(phrase)
     return any(tuple(tokens[i:i + n]) == phrase for i in range(len(tokens) - n + 1))
+
+
+def _phrase_holdout(dataset: Sequence[Example], spec: SplitSpec, phrases: list) -> SplitResult:
+    """Test takes every example containing one of phrases; each must parse as a command."""
+    for phrase in phrases:
+        try:
+            parse_command(phrase)
+        except ScanParseError as exc:
+            raise SplitError(f"{spec.kind} phrase {' '.join(phrase)!r} is not a "
+                             f"grammatical command: {exc}") from exc
+    return _holdout(dataset, spec, lambda ex: any(
+        _contains_phrase(ex.input, phrase) for phrase in phrases))
 
 
 def build_primitive_holdout(dataset: Sequence[Example], primitive: str) -> SplitResult:
@@ -110,27 +126,15 @@ def build_primitive_holdout(dataset: Sequence[Example], primitive: str) -> Split
     if primitive not in HOLDOUT_PRIMITIVES:
         raise SplitError(f"unknown primitive {primitive!r}")
     phrase = tuple(primitive.split())
-    train, test = [], []
-    for ex in dataset:
-        held_out = ex.input != phrase and _contains_phrase(ex.input, phrase)
-        (test if held_out else train).append(ex.id)
-    spec = SplitSpec("primitive_holdout", primitive)
-    return _result(dataset, spec, train, test)
+    return _holdout(dataset, SplitSpec("primitive_holdout", primitive),
+                    lambda ex: ex.input != phrase and _contains_phrase(ex.input, phrase))
 
 
 def build_subcommand_holdout(dataset: Sequence[Example], phrase: str) -> SplitResult:
     """Every command containing the phrase as a contiguous subcommand goes
     to test."""
-    tokens = tuple(phrase.split())
-    try:
-        parse_command(tokens)
-    except ScanParseError as exc:
-        raise SplitError(f"phrase {phrase!r} is not a grammatical subcommand: {exc}") from exc
-    train, test = [], []
-    for ex in dataset:
-        (test if _contains_phrase(ex.input, tokens) else train).append(ex.id)
-    spec = SplitSpec("subcommand_holdout", phrase)
-    return _result(dataset, spec, train, test)
+    return _phrase_holdout(dataset, SplitSpec("subcommand_holdout", phrase),
+                           [tuple(phrase.split())])
 
 
 def build_template_holdout(dataset: Sequence[Example], template: str) -> SplitResult:
@@ -139,21 +143,8 @@ def build_template_holdout(dataset: Sequence[Example], template: str) -> SplitRe
     parts = tuple(template.split())
     if parts.count("$Primitive") != 1:
         raise SplitError(f"template {template!r} must contain exactly one $Primitive")
-    instantiations = []
-    for prim in PRIMITIVES:
-        phrase = tuple(prim if t == "$Primitive" else t for t in parts)
-        try:
-            parse_command(phrase)
-        except ScanParseError as exc:
-            raise SplitError(f"template {template!r} instantiates to an "
-                             f"ungrammatical phrase {' '.join(phrase)!r}") from exc
-        instantiations.append(phrase)
-    train, test = [], []
-    for ex in dataset:
-        held_out = any(_contains_phrase(ex.input, p) for p in instantiations)
-        (test if held_out else train).append(ex.id)
-    spec = SplitSpec("template_holdout", template)
-    return _result(dataset, spec, train, test)
+    return _phrase_holdout(dataset, SplitSpec("template_holdout", template), [
+        tuple(prim if t == "$Primitive" else t for t in parts) for prim in PRIMITIVES])
 
 
 def build_length_split(dataset: Sequence[Example],
@@ -162,12 +153,10 @@ def build_length_split(dataset: Sequence[Example],
     test.  22 is the canonical SCAN choice."""
     if max_train_output_length < 1:
         raise SplitError("length threshold must be >= 1")
-    train, test = [], []
-    for ex in dataset:
-        (train if len(ex.output) <= max_train_output_length else test).append(ex.id)
-    if not train:
+    result = _holdout(dataset, SplitSpec("length", max_train_output_length),
+                      lambda ex: len(ex.output) > max_train_output_length)
+    if not result.train_ids:
         raise SplitError("length threshold excludes all examples from train")
-    if not test:
+    if not result.test_ids:
         raise SplitError("length threshold leaves no test examples")
-    spec = SplitSpec("length", max_train_output_length)
-    return _result(dataset, spec, train, test)
+    return result

@@ -40,6 +40,28 @@ def test_scan_generate_reproducible(tmp_path):
         "949e0b44926d280d8c32fab60647d2e3408caedc8f77ae52f01e1d84726d6def")
 
 
+def test_scan_generate_tsv_feeds_split_length(tmp_path):
+    out = tmp_path / "scan.tsv"
+    assert run(["scan", "generate", "--out", str(out)]) == 0
+    content = out.read_bytes()
+    # Golden: the TSV form of the published dataset, pinned byte for byte.
+    assert len(content) == 2_520_412
+    assert hashlib.sha256(content).hexdigest() == (
+        "af1656ebee2655b9f12068337f4124420481564e39995be5612aef6a1ff386ee")
+    manifest = json.loads((tmp_path / "scan.tsv.manifest.json").read_text())
+    assert manifest["config"] == {}
+    split = tmp_path / "split.json"
+    assert run(["split", "length", "--in", str(out), "--out", str(split)]) == 0
+    assert len(json.loads(split.read_text())["train"]) == 16990
+
+
+def test_split_random_needs_two_examples(tmp_path, small_dataset, capsys):
+    one = tmp_path / "one.jsonl"
+    one.write_text(small_dataset.read_text().splitlines()[0] + "\n")
+    assert run(["split", "random", "--in", str(one), "--out", str(tmp_path / "s.json")]) == 2
+    assert "need at least two examples" in capsys.readouterr().err
+
+
 def test_scan_interpret(tmp_path):
     infile = tmp_path / "cmds.txt"
     infile.write_text("turn left twice and jump\nwalk after run\n")
@@ -418,19 +440,23 @@ BAD_INPUTS = [(name, INPUT_OPTIONS[a.dest]) for name, p in sorted(LEAVES.items()
 
 
 @pytest.mark.parametrize("name,option", BAD_INPUTS)
-@pytest.mark.parametrize("case", ["missing", "empty", "malformed", "mistyped"])
+@pytest.mark.parametrize("case", ["missing", "empty", "malformed", "mistyped",
+                                  "undecodable", "deep"])
 def test_bad_input_file_exits_2_naming_it(name, option, case, cli_inputs, tmp_path, capsys):
     bad = tmp_path / "bad.in"
     if case != "missing":
         # mistyped: well-formed JSON, of the wrong types for a dataset or
         # a prediction line.
-        bad.write_text({"empty": "", "malformed": "{ x\n", "mistyped": json.dumps(
-            {"id": 5, "input": [1], "output": [2], "prediction": [3], "replica": 0.5})}[case])
+        bad.write_bytes({"empty": b"", "malformed": b"{ x\n", "mistyped": json.dumps(
+            {"id": 5, "input": [1], "output": [2], "prediction": [3], "replica": 0.5}).encode(),
+            "undecodable": b"{\n\"a\xff\": 1}\n",
+            "deep": b"[" * 200_000 + b"]" * 200_000}[case])
     argv = leaf_argv(name, cli_inputs, **{option: bad}) + ["--out", str(tmp_path / "out")]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("compgen: error:") and "Traceback" not in err
-    assert (f"{bad}:1: " if case in ("malformed", "mistyped") else str(bad)) in err
+    where = {"malformed": ":1: ", "mistyped": ":1: ", "undecodable": ":2: not valid UTF-8"}
+    assert f"{bad}{where.get(case, '')}" in err
 
 
 @pytest.mark.parametrize("name,option,content,message", [

@@ -32,6 +32,17 @@ def test_jsonl_roundtrip_with_trace(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["d.tsv", "d.txt"])
+def test_save_dataset_writes_tsv_by_suffix(tmp_path, name):
+    examples = scan.enumerate_dataset()[:50]
+    path = tmp_path / name
+    data.save_dataset(examples, path)
+    assert path.read_text().splitlines()[1] == "jump twice\tJUMP JUMP"
+    loaded = data.load_dataset(path)
+    assert [(ex.input, ex.output) for ex in loaded] == [
+        (ex.input, ex.output) for ex in examples]
+
+
 def test_jsonl_string_tokens(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps({"input": "jump twice", "output": "JUMP JUMP"}) + "\n")
@@ -241,6 +252,35 @@ def test_cgps_length_invariant():
     n = data.count_non_mappable(ex, identity=True)
     out = data.cgps_prefix(ex, identity=True)
     assert len(out.input) == len(ex.input) + n
+
+
+@pytest.mark.parametrize("bad_line", [1, 2, 500, 2999])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x28", b"\x80"],
+                         ids=["start", "continuation", "lone"])
+def test_undecodable_byte_names_its_line(tmp_path, bad_line, bad):
+    # Long enough to be decoded in several chunks, with multi-byte characters
+    # and CRLF line ends on the way.
+    lines = [f"line {i} \u00e9\u00fc {'x' * (i % 37)}".encode() + (b"\r\n" if i % 5 else b"\n")
+             for i in range(1, 3001)]
+    lines[bad_line - 1] = lines[bad_line - 1][:7] + bad + lines[bad_line - 1][7:]
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(data.DataError, match=f"^{path}:{bad_line}: not valid UTF-8 at byte "
+                                             f"0x{bad[0]:02x}$"):
+        data.read_lines(path, str.split, "lines")
+    with pytest.raises(data.DataError, match=f"^{path}:{bad_line}: not valid UTF-8"):
+        data.JsonFile(path)
+
+
+def test_json_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(data.DataError, match=f"^{path}: maximum recursion depth"):
+        data.JsonFile(path)
+    # Deep enough for the C decoder but not for the decode that finds lines.
+    path.write_text("[" * 300 + "]" * 300)
+    doc = data.JsonFile(path)
+    assert doc.error("x", doc.value).args == (f"{path}: x",)
 
 
 def test_json_file_errors_name_the_line_of_the_value(tmp_path):

@@ -216,6 +216,18 @@ def test_mcd_deterministic(scan_dataset):
     assert a[1] == b[1]
 
 
+@pytest.mark.parametrize("seed,fraction", [(1, 0.8), (7, 0.8), (123, 0.8), (2, 0.5), (3, 0.1)])
+def test_mcd_without_search_is_the_random_split(scan_dataset, seed, fraction):
+    """The MCD search starts from split random's partition, by construction."""
+    sample = _small_sample(scan_dataset)
+    for examples in (sample, sample[:3]):
+        rand = splits.build_random_split(examples, seed, fraction)
+        mcd, _ = dbca.build_mcd_split(examples, seed=seed, train_fraction=fraction,
+                                      iterations=0, max_atom_divergence=1.0)
+        assert set(mcd.train_ids) == set(rand.train_ids)
+        assert set(mcd.test_ids) == set(rand.test_ids)
+
+
 def test_mcd_target_zero_stays_near_random(scan_dataset):
     sample = _small_sample(scan_dataset)
     by_id = {ex.id: ex for ex in sample}

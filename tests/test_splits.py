@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from compgen import splits
@@ -26,6 +28,28 @@ def test_random_split_bad_fraction(scan_dataset, fraction):
 def test_random_split_empty_dataset():
     with pytest.raises(splits.SplitError):
         splits.build_random_split([], 0, 0.8)
+
+
+def test_random_split_of_one_example(scan_dataset):
+    with pytest.raises(splits.SplitError, match="at least two examples"):
+        splits.build_random_split(scan_dataset[:1], 0, 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("fraction", [0.1, 0.9])
+def test_random_split_of_few_examples_has_two_sides(scan_dataset, n, fraction):
+    for seed in range(5):
+        result = splits.build_random_split(scan_dataset[:n], seed, fraction)
+        assert result.train_ids and result.test_ids
+        assert sorted(result.train_ids + result.test_ids) == sorted(
+            ex.id for ex in scan_dataset[:n])
+
+
+def test_random_partition_cuts_the_shuffled_indices():
+    rng = random.Random(4)
+    order = list(range(10))
+    random.Random(4).shuffle(order)
+    assert splits.random_partition(10, rng, 0.75) == (order[:8], order[8:])
 
 
 def test_primitive_holdout_jump(scan_dataset):
