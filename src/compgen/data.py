@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import io
 import json
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -240,6 +241,23 @@ def _undecodable(name, exc: UnicodeDecodeError, lines_before: int = 0) -> DataEr
     return DataError(f"{name}:{line}: not valid UTF-8 at byte 0x{exc.object[exc.start]:02x}")
 
 
+@contextmanager
+def _stdin_text():
+    """sys.stdin as strict UTF-8, split at "\n" only as Python splits it,
+    whatever the locale's codec and error handler; its byte stream is
+    detached afterwards, not closed.  A stdin that has no byte stream (a
+    StringIO) is read as it is."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        yield sys.stdin
+        return
+    text = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+    try:
+        yield text
+    finally:
+        text.detach()
+
+
 def read_lines(path, parse, what: str) -> list:
     """parse(line) for each line not whitespace only of the file at path
     (stdin when path is None).  A byte that is not UTF-8, or a ValueError,
@@ -247,7 +265,7 @@ def read_lines(path, parse, what: str) -> list:
     DataError naming the file and line; no such line is one saying "no <what>"."""
     name = "<stdin>" if path is None else path
     items, lineno = [], 0
-    with nullcontext(sys.stdin) if path is None else open(path, encoding="utf-8") as fh:
+    with _stdin_text() if path is None else open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.isspace():

@@ -46,22 +46,37 @@ class DivergenceReport:
         return asdict(self)
 
 
+def _walk(trace: DerivationTrace, atoms: list, compounds: list) -> None:
+    """Append the atoms and the compounds of trace to the two lists, in the
+    order extract_atoms and extract_compounds first see their keys: nodes in
+    preorder, found with an explicit stack so that no depth is too deep."""
+    stack = [trace]
+    while stack:
+        node = stack.pop()
+        rule, children = node.rule, node.children
+        atoms.append(rule)
+        if children:
+            for child in children:
+                compounds.append(f"{rule}({child.rule})")
+            if len(children) == 2:
+                left, right = children
+                compounds.append(f"{rule}({left.rule},{right.rule})")
+            stack.extend(reversed(children))
+
+
 def extract_atoms(trace: DerivationTrace) -> Counter:
     """One atom per rule application; the atom key is the rule id."""
-    return Counter(node.rule for node in trace.iter_nodes())
+    atoms = []
+    _walk(trace, atoms, [])
+    return Counter(atoms)
 
 
 def extract_compounds(trace: DerivationTrace) -> Counter:
     """Local subtrees of depth 2: every (parent, child) pair and every
     (parent, left child, right child) triple."""
-    compounds = Counter()
-    for node in trace.iter_nodes():
-        for child in node.children:
-            compounds[f"{node.rule}({child.rule})"] += 1
-        if len(node.children) == 2:
-            left, right = node.children
-            compounds[f"{node.rule}({left.rule},{right.rule})"] += 1
-    return compounds
+    compounds = []
+    _walk(trace, [], compounds)
+    return Counter(compounds)
 
 
 def divergence(p: Mapping[str, float], q: Mapping[str, float], alpha: float) -> float:
@@ -98,19 +113,41 @@ def measure(train: Sequence[Example], test: Sequence[Example],
     atoms, compounds = (Counter(), Counter()), (Counter(), Counter())
     for side, examples in enumerate((train, test)):
         for ex in examples:
-            atoms[side].update(extract_atoms(ex.derivation))
-            compounds[side].update(extract_compounds(ex.derivation))
+            # One example's keys at a time: a whole side's list would cost memory.
+            ex_atoms, ex_compounds = [], []
+            _walk(ex.derivation, ex_atoms, ex_compounds)
+            atoms[side].update(ex_atoms)
+            compounds[side].update(ex_compounds)
     return _report(_id_rows(atoms), _id_rows(compounds), [0], [1],
                    atom_alpha, compound_alpha, len(train), len(test))
 
 
-def _id_rows(counters) -> list[tuple]:
-    """Each Counter as a tuple of (id, count) pairs, with keys numbered in
-    first-seen order; equal pairs are one shared tuple."""
+def _numbering():
+    """A function from a Counter to its row: a tuple of (id, count) pairs,
+    with keys numbered in first-seen order over all its calls; equal pairs
+    are one shared tuple."""
     ids, pairs = {}, {}
-    return [tuple(pairs.setdefault(p, p) for p in
-                  [(ids.setdefault(k, len(ids)), v) for k, v in counts.items()])
-            for counts in counters]
+    return lambda counts: tuple(pairs.setdefault(p, p) for p in
+                                [(ids.setdefault(k, len(ids)), v) for k, v in counts.items()])
+
+
+def _id_rows(counters) -> list[tuple]:
+    """Each Counter as a row, numbered together by one _numbering."""
+    row = _numbering()
+    return [row(counts) for counts in counters]
+
+
+def _example_rows(examples: Sequence[Example]) -> tuple[list, list]:
+    """The atom rows and the compound rows of examples, as _id_rows of their
+    extract_atoms and of their extract_compounds; each trace is walked once."""
+    atom_row, compound_row = _numbering(), _numbering()
+    atom_rows, compound_rows = [], []
+    for ex in examples:
+        atoms, compounds = [], []
+        _walk(ex.derivation, atoms, compounds)
+        atom_rows.append(atom_row(Counter(atoms)))
+        compound_rows.append(compound_row(Counter(compounds)))
+    return atom_rows, compound_rows
 
 
 class _Divergence:
@@ -224,10 +261,9 @@ def build_mcd_split(examples: Sequence[Example],
     rng = random.Random(seed)
     train_idx, test_idx = random_partition(len(examples), rng, train_fraction)
 
-    atoms = _Divergence(_id_rows(extract_atoms(ex.derivation) for ex in examples),
-                        train_idx, test_idx, atom_alpha)
-    comps = _Divergence(_id_rows(extract_compounds(ex.derivation) for ex in examples),
-                        train_idx, test_idx, compound_alpha)
+    atom_rows, compound_rows = _example_rows(examples)
+    atoms = _Divergence(atom_rows, train_idx, test_idx, atom_alpha)
+    comps = _Divergence(compound_rows, train_idx, test_idx, compound_alpha)
 
     cur_obj = abs(comps.value() - target_compound_divergence)
     cur_atom = atoms.value()
@@ -257,9 +293,8 @@ def build_mcd_split(examples: Sequence[Example],
     # Recounted from the rows, so that no drift of the running sums can
     # reach the bound check or the report.  The search state goes first,
     # so that it and the recount are never held at once.
-    atom_rows, comp_rows = atoms.rows, comps.rows
     del atoms, comps
-    report = _report(atom_rows, comp_rows, train_idx, test_idx,
+    report = _report(atom_rows, compound_rows, train_idx, test_idx,
                      atom_alpha, compound_alpha, len(train_idx), len(test_idx))
     if report.atom_divergence > max_atom_divergence + 1e-9:
         raise InfeasibleSplitError(

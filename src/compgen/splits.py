@@ -7,7 +7,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .data import Example, JsonFile
 from .scan import PRIMITIVES, ScanParseError, parse_command
@@ -103,9 +103,20 @@ def _holdout(dataset: Sequence[Example], spec: SplitSpec, held_out) -> SplitResu
     return _result(spec, train, test)
 
 
-def _contains_phrase(tokens: Sequence[str], phrase: tuple[str, ...]) -> bool:
-    n = len(phrase)
-    return any(tuple(tokens[i:i + n]) == phrase for i in range(len(tokens) - n + 1))
+def _contains_any(phrases: list) -> Callable[[Sequence[str]], bool]:
+    """A test whether tokens hold one of phrases (tuples of tokens without
+    spaces) as a contiguous run.  It looks for each phrase, padded with
+    spaces, in the tokens joined by spaces, which is exact while no token
+    holds a space; tokens that do are compared window by window."""
+    padded = [f" {' '.join(phrase)} " for phrase in phrases]
+
+    def contains(tokens: Sequence[str]) -> bool:
+        text = f" {' '.join(tokens)} "
+        if text.count(" ") == len(tokens) + 1:
+            return any(p in text for p in padded)
+        return any(tuple(tokens[i:i + len(phrase)]) == phrase for phrase in phrases
+                   for i in range(len(tokens) - len(phrase) + 1))
+    return contains
 
 
 def _phrase_holdout(dataset: Sequence[Example], spec: SplitSpec, phrases: list) -> SplitResult:
@@ -116,8 +127,8 @@ def _phrase_holdout(dataset: Sequence[Example], spec: SplitSpec, phrases: list) 
         except ScanParseError as exc:
             raise SplitError(f"{spec.kind} phrase {' '.join(phrase)!r} is not a "
                              f"grammatical command: {exc}") from exc
-    return _holdout(dataset, spec, lambda ex: any(
-        _contains_phrase(ex.input, phrase) for phrase in phrases))
+    contains = _contains_any(phrases)
+    return _holdout(dataset, spec, lambda ex: contains(ex.input))
 
 
 def build_primitive_holdout(dataset: Sequence[Example], primitive: str) -> SplitResult:
@@ -126,8 +137,9 @@ def build_primitive_holdout(dataset: Sequence[Example], primitive: str) -> Split
     if primitive not in HOLDOUT_PRIMITIVES:
         raise SplitError(f"unknown primitive {primitive!r}")
     phrase = tuple(primitive.split())
+    contains = _contains_any([phrase])
     return _holdout(dataset, SplitSpec("primitive_holdout", primitive),
-                    lambda ex: ex.input != phrase and _contains_phrase(ex.input, phrase))
+                    lambda ex: ex.input != phrase and contains(ex.input))
 
 
 def build_subcommand_holdout(dataset: Sequence[Example], phrase: str) -> SplitResult:

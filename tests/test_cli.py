@@ -3,6 +3,10 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,38 @@ def test_line_commands_read_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(" \n"))
     assert run(["ir", "encode", "--level", "f1"]) == 2
     assert capsys.readouterr().err == "compgen: error: <stdin>: no lines\n"
+
+
+def test_stdin_is_strict_utf8_under_the_c_locale():
+    # Under the C locale Python reads stdin with surrogateescape; the line
+    # commands read its bytes as UTF-8 instead, as they read --in files.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUTF8", "PYTHONIOENCODING", "LANG", "LC_CTYPE")}
+    env.update(LC_ALL="C", PYTHONPATH=str(Path(data.__file__).resolve().parents[1]))
+
+    def cli(args, stdin):
+        return subprocess.run([sys.executable, "-m", "compgen.cli", *args], env=env,
+                              input=stdin, capture_output=True)
+
+    proc = cli(["ir", "encode", "--level", "f1"], b"M0 a M\xff1\n")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"compgen: error: <stdin>:1: not valid UTF-8 at byte 0xff\n"
+    # Past the first chunk of a stream the line is still counted from the start.
+    proc = cli(["scan", "interpret"], b"jump\n" * 5000 + b"walk \xc3\n")
+    assert proc.stderr == b"compgen: error: <stdin>:5001: not valid UTF-8 at byte 0xc3\n"
+    # Lines end at "\n" only: a lone "\r" stays inside its line.
+    proc = cli(["scan", "interpret"], b"jump\r\nwalk twice\n")
+    assert (proc.returncode, proc.stdout) == (0, b"JUMP\nWALK WALK\n")
+    proc = cli(["scan", "interpret"], b"jump\rjump\nwalk frob\n")
+    assert proc.stderr.startswith(b"compgen: error: <stdin>:1: ")
+
+
+def test_reading_stdin_leaves_it_open(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO("jump\nwalk twice\n".encode()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(["scan", "interpret"]) == 0
+    assert capsys.readouterr().out == "JUMP\nWALK WALK\n"
+    assert not stdin.closed and not stdin.buffer.closed
 
 
 def test_split_subcommands(tmp_path, small_dataset):

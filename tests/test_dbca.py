@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compgen import dbca, scan, splits
+from compgen import data, dbca, scan, splits
 
 
 def trace_of(command):
@@ -55,6 +55,89 @@ def test_compounds_local():
     a = dbca.extract_compounds(trace_of("jump around left"))
     b = dbca.extract_compounds(trace_of("jump around left"))
     assert a == b
+
+
+def reference_atoms(trace):
+    """extract_atoms by its recursive definition."""
+    return Counter(node.rule for node in trace.iter_nodes())
+
+
+def reference_compounds(trace):
+    """extract_compounds by its recursive definition."""
+    compounds = Counter()
+    for node in trace.iter_nodes():
+        for child in node.children:
+            compounds[f"{node.rule}({child.rule})"] += 1
+        if len(node.children) == 2:
+            left, right = node.children
+            compounds[f"{node.rule}({left.rule},{right.rule})"] += 1
+    return compounds
+
+
+@pytest.fixture(scope="module")
+def loaded_dataset(scan_dataset, tmp_path_factory):
+    """The full set after a jsonl round trip: equal subtrees are shared."""
+    path = tmp_path_factory.mktemp("dbca") / "scan.jsonl"
+    data.save_dataset(scan_dataset, path)
+    return data.load_dataset(path)
+
+
+@pytest.mark.parametrize("which", ["enumerated", "loaded"])
+def test_extraction_keeps_the_recursive_key_order(scan_dataset, loaded_dataset, which):
+    # _id_rows numbers keys in first-seen order, and the search's float sums
+    # follow that numbering: the order matters, not only the counts.
+    examples = scan_dataset if which == "enumerated" else loaded_dataset
+    for ex in examples:
+        assert list(dbca.extract_atoms(ex.derivation).items()) == \
+            list(reference_atoms(ex.derivation).items())
+        assert list(dbca.extract_compounds(ex.derivation).items()) == \
+            list(reference_compounds(ex.derivation).items())
+    atom_rows, compound_rows = dbca._example_rows(examples)
+    assert atom_rows == dbca._id_rows(dbca.extract_atoms(ex.derivation) for ex in examples)
+    assert compound_rows == dbca._id_rows(
+        dbca.extract_compounds(ex.derivation) for ex in examples)
+
+
+def reference_measure(train, test):
+    """measure with each side summed from the reference Counters."""
+    atoms, compounds = (Counter(), Counter()), (Counter(), Counter())
+    for side, examples in enumerate((train, test)):
+        for ex in examples:
+            atoms[side].update(reference_atoms(ex.derivation))
+            compounds[side].update(reference_compounds(ex.derivation))
+    return dbca._report(dbca._id_rows(atoms), dbca._id_rows(compounds), [0], [1],
+                        dbca.DEFAULT_ATOM_ALPHA, dbca.DEFAULT_COMPOUND_ALPHA,
+                        len(train), len(test))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_measure_equals_the_reference_sums(scan_dataset, seed):
+    train, test = splits.random_partition(len(scan_dataset), random.Random(seed), 0.8)
+    train, test = [scan_dataset[i] for i in train], [scan_dataset[i] for i in test]
+    assert dbca.measure(train, test) == reference_measure(train, test)
+
+
+def chain(depth, rule="unary"):
+    """A DerivationTrace of depth nodes: rule over rule over ... over a leaf."""
+    node = data.DerivationTrace("leaf")
+    for _ in range(depth - 1):
+        node = data.DerivationTrace(rule, (node,))
+    return node
+
+
+def test_extraction_and_measure_of_a_deep_trace():
+    deep = chain(10_000)
+    assert dbca.extract_atoms(deep) == Counter({"unary": 9_999, "leaf": 1})
+    assert dbca.extract_compounds(deep) == Counter({"unary(unary)": 9_998, "unary(leaf)": 1})
+    examples = [data.Example(str(depth), ("x",), ("X",), chain(depth, rule))
+                for depth, rule in ((10_000, "unary"), (5_000, "unary"), (3, "other"))]
+    atoms = [Counter(unary=9_999, leaf=1), Counter(unary=4_999, leaf=2, other=2)]
+    compounds = [Counter({"unary(unary)": 9_998, "unary(leaf)": 1}),
+                 Counter({"unary(unary)": 4_998, "unary(leaf)": 1,
+                          "other(other)": 1, "other(leaf)": 1})]
+    expected = dbca._report(dbca._id_rows(atoms), dbca._id_rows(compounds), [0], [1],
+                            dbca.DEFAULT_ATOM_ALPHA, dbca.DEFAULT_COMPOUND_ALPHA, 1, 2)
+    assert dbca.measure(examples[:1], examples[1:]) == expected
 
 
 def test_measure_duplication_invariant(scan_dataset):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compgen import splits
 
@@ -109,6 +111,23 @@ def test_template_holdout_membership(scan_dataset):
     assert ids["walk around right"] in test
     assert ids["turn around right"] not in test
     assert ids["jump around left"] not in test
+
+
+def window_contains(tokens, phrases):
+    return any(tuple(tokens[i:i + len(p)]) == p for p in phrases
+               for i in range(len(tokens) - len(p) + 1))
+
+
+# Tokens as a jsonl list may hold spaces or be empty; phrases come from split().
+_TOKEN = st.sampled_from(["jump", "around", "right", "", "jump around", "right ", " "])
+_PHRASE = st.lists(st.sampled_from(["jump", "around", "right"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=300)
+@given(st.lists(_TOKEN, max_size=6), st.lists(_PHRASE, min_size=1, max_size=3))
+def test_phrase_matching_is_window_matching(tokens, phrases):
+    phrases = [tuple(p) for p in phrases]
+    assert splits._contains_any(phrases)(tuple(tokens)) == window_contains(tokens, phrases)
 
 
 def test_template_holdout_malformed(scan_dataset):
