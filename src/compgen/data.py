@@ -139,13 +139,29 @@ class DerivationTrace:
 
     rule: str
     children: tuple["DerivationTrace", ...] = ()
+    # Not hashable: a hash of the fields recurses, so a deep trace would
+    # overflow the stack, and nothing hashes a trace (_interned_trace finds
+    # equal subtrees by rule and child ids).
+    __hash__ = None
 
     def to_jsonable(self):
-        return [self.rule, [c.to_jsonable() for c in self.children]]
+        """[rule, [subtree, ...]], a new list per node.  An explicit stack
+        of (children, the list they go into) fills each node's list in
+        order, so that a trace of any depth converts."""
+        root = [self.rule, []]
+        stack = [(self.children, root[1])]
+        while stack:
+            children, out = stack.pop()
+            for child in children:
+                item = [child.rule, []]
+                out.append(item)
+                if child.children:
+                    stack.append((child.children, item[1]))
+        return root
 
     @staticmethod
     def from_jsonable(obj) -> "DerivationTrace":
-        return _interned_trace(obj, {})
+        return _interned_trace(obj, {}, _Strings())
 
     def iter_nodes(self) -> Iterator["DerivationTrace"]:
         yield self
@@ -153,22 +169,21 @@ class DerivationTrace:
             yield from child.iter_nodes()
 
 
-def _interned_trace(obj, memo: dict) -> DerivationTrace:
+def _interned_trace(obj, memo: dict, strings: _Strings) -> DerivationTrace:
     """The trace of obj, built so that equal subtrees are one object: memo
     maps (rule, ids of the interned children) to the node, and a leaf's
     rule to the leaf.  The children are interned first and memo keeps them
     alive, so their ids stay unique; the trees are frozen, so sharing them
-    is safe.  A memo hit has a checked rule: rules are checked on creation."""
+    is safe.  A memo hit has a checked rule: a new node's rule is looked up
+    in the table strings, which rejects one that is not a string."""
     rule, children = obj
     if type(children) is not list:
         raise TypeError("children must be a list")
-    kids = tuple([_interned_trace(c, memo) for c in children])
+    kids = tuple([_interned_trace(c, memo, strings) for c in children])
     key = (rule, *map(id, kids)) if kids else rule
     node = memo.get(key)
     if node is None:
-        if type(rule) is not str:
-            raise TypeError("a rule must be a string")
-        node = memo[key] = DerivationTrace(rule, kids)
+        node = memo[key] = DerivationTrace(strings[rule], kids)
     return node
 
 
@@ -218,19 +233,33 @@ def _json_object(line: str) -> dict:
     return obj
 
 
-def _tokens(obj: dict, key: str) -> tuple[str, ...]:
-    """obj[key] as tokens: a string splits on whitespace; joining a list
-    checks at C speed that it holds only strings."""
+class _Strings(dict):
+    """The string table of one load: strings[s] is the first string equal
+    to s that the table was given, so a file's equal tokens and rules are
+    one object (a file has few distinct ones).  A found key costs one C
+    lookup; a key that is not a string is a TypeError."""
+
+    def __missing__(self, key):
+        if type(key) is not str:
+            raise TypeError("not a string")
+        self[key] = key
+        return key
+
+    def tokens(self, tokens) -> tuple[str, ...]:
+        return tuple(map(self.__getitem__, tokens))
+
+
+def _tokens(obj: dict, key: str, strings: _Strings) -> tuple[str, ...]:
+    """obj[key] as tokens shared through strings: a string splits on
+    whitespace; a list must hold only strings."""
     value = obj[key]
     if type(value) is str:
-        return tuple(value.split())
+        return strings.tokens(value.split())
     if type(value) is list:
         try:
-            "".join(value)
+            return strings.tokens(value)
         except TypeError:
             pass
-        else:
-            return tuple(value)
     raise TypeError(f"{key!r} must be {_TOKENS}")
 
 
@@ -283,27 +312,29 @@ def read_lines(path, parse, what: str) -> list:
 def load_dataset(path) -> list[Example]:
     """Load Examples from a tsv file (suffix .tsv or .txt) or a jsonl file.
     Missing ids are assigned from a content hash; duplicate ids are an
-    error.  Equal derivation subtrees are one shared object."""
+    error.  Equal tokens and rules are one shared string, and equal
+    derivation subtrees one shared object."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     seen = set()
     traces: dict = {}  # the memo of _interned_trace, for this load only
+    strings = _Strings()  # each distinct token and rule of this load
 
     def example(line):
         if tsv:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError("expected input<TAB>output")
-            inp, out = (tuple(f.split()) for f in fields)
+            inp, out = (strings.tokens(f.split()) for f in fields)
             ex_id, trace, meta = None, None, {}
         else:
             obj = _json_object(line)
-            inp, out = _tokens(obj, "input"), _tokens(obj, "output")
+            inp, out = _tokens(obj, "input", strings), _tokens(obj, "output", strings)
             ex_id, trace, meta = obj.get("id"), obj.get("derivation"), obj.get("meta")
             if type(ex_id) is not str and ex_id is not None:
                 raise _mistyped(_EXAMPLE_LINE, "id")
             if trace is not None:
                 try:
-                    trace = _interned_trace(trace, traces)
+                    trace = _interned_trace(trace, traces, strings)
                 except (ValueError, TypeError):
                     raise _mistyped(_EXAMPLE_LINE, "derivation") from None
             if meta is None:
@@ -320,7 +351,9 @@ def load_dataset(path) -> list[Example]:
 
 
 def save_dataset(examples: Iterable[Example], path) -> None:
-    """Write tsv (input and output only) or jsonl, by suffix as load_dataset reads."""
+    """Write tsv (input and output only) or jsonl, by suffix as load_dataset
+    reads.  An example nested too deeply for JSON, as a deep derivation
+    is, is a DataError naming it: load_dataset could not read it back."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
@@ -332,12 +365,20 @@ def save_dataset(examples: Iterable[Example], path) -> None:
                     obj["derivation"] = ex.derivation.to_jsonable()
                 if ex.meta:
                     obj["meta"] = dict(ex.meta)
-                fh.write(_ENCODER.encode(obj) + "\n")
+                try:
+                    line = _ENCODER.encode(obj)
+                except RecursionError:
+                    raise DataError(f"example {ex.id!r} is nested too deeply "
+                                    "for JSON") from None
+                fh.write(line + "\n")
 
 
 def load_predictions(path) -> list[PredictionRecord]:
     """Load prediction records: one JSON object per line with keys id,
-    prediction and replica (optional, default 0)."""
+    prediction and replica (optional, default 0).  Equal tokens are one
+    shared string."""
+    strings = _Strings()  # each distinct token of this load
+
     def record(line):
         obj = _json_object(line)
         ex_id, replica = obj["id"], obj.get("replica")
@@ -347,7 +388,7 @@ def load_predictions(path) -> list[PredictionRecord]:
             replica = 0
         elif type(replica) is not int:
             raise _mistyped(_PREDICTION_LINE, "replica")
-        return PredictionRecord(ex_id, _tokens(obj, "prediction"), replica)
+        return PredictionRecord(ex_id, _tokens(obj, "prediction", strings), replica)
 
     return read_lines(path, record, "predictions")
 

@@ -84,33 +84,65 @@ def exact_match(prediction: Sequence[str], gold: Sequence[str],
     return True
 
 
-def _clause_set_match(prediction: Sequence[str], gold: Sequence[str]) -> bool:
+def _parsed(tokens: Sequence[str]):
+    """The query that tokens spell, or None when they do not parse."""
     try:
-        gold_q = parse_sparql(" ".join(gold))
-        pred_q = parse_sparql(" ".join(prediction))
+        return parse_sparql(" ".join(tokens))
     except SparqlParseError:
+        return None
+
+
+def _clause_set_match(prediction: Sequence[str], gold_query) -> bool:
+    """gold_query is the parsed gold, or None when the gold does not parse."""
+    if gold_query is None:
         return False
-    return clause_set_equal(pred_q, gold_q)
+    pred_query = _parsed(prediction)
+    return pred_query is not None and clause_set_equal(pred_query, gold_query)
 
 
-def _matches(predictions: Iterable[PredictionRecord],
+def _matches(replicas: Iterable[Iterable[PredictionRecord]],
              golds: Mapping[str, Sequence[str]],
              relax_oov_braces: bool = False, oov_token: str = DEFAULT_OOV_TOKEN,
-             clause_set: bool = False) -> dict[str, bool]:
-    """{id: matched} for the predictions of one replica, the matcher of
-    score_run and length_breakdown.  An unknown or repeated id is an
-    error."""
-    matched = {}
-    for rec in predictions:
-        if rec.example_id not in golds:
-            raise PredictionError(f"prediction for unknown id {rec.example_id!r}")
-        if rec.example_id in matched:
-            raise PredictionError(f"multiple predictions for id {rec.example_id!r}")
-        gold = golds[rec.example_id]
-        matched[rec.example_id] = (
-            _clause_set_match(rec.tokens, gold) if clause_set
-            else exact_match(rec.tokens, gold, relax_oov_braces, oov_token))
+             clause_set: bool = False) -> list[dict[str, bool]]:
+    """[{id: matched}, ...], one for the predictions of each replica: the
+    matcher of score_run, score_replicas and length_breakdown.  With
+    clause_set each gold is parsed once for all the replicas that predict
+    it, and only one parsed gold is held at a time.  An unknown id, or an
+    id repeated within a replica, is an error."""
+    predicted = []  # {id: tokens} for each replica
+    for predictions in replicas:
+        tokens = {}
+        for rec in predictions:
+            if rec.example_id not in golds:
+                raise PredictionError(f"prediction for unknown id {rec.example_id!r}")
+            if rec.example_id in tokens:
+                raise PredictionError(f"multiple predictions for id {rec.example_id!r}")
+            tokens[rec.example_id] = rec.tokens
+        predicted.append(tokens)
+    if not clause_set:
+        return [{i: exact_match(t, golds[i], relax_oov_braces, oov_token)
+                 for i, t in tokens.items()} for tokens in predicted]
+    matched = [{} for _ in predicted]
+    for ex_id, gold in golds.items():
+        found = [(tokens[ex_id], out) for tokens, out in zip(predicted, matched)
+                 if ex_id in tokens]
+        if found:
+            gold_query = _parsed(gold)
+            for prediction, out in found:
+                out[ex_id] = _clause_set_match(prediction, gold_query)
     return matched
+
+
+def _gold_map(golds: Mapping[str, Sequence[str]] | Sequence[Example]) -> Mapping[str, Sequence[str]]:
+    if not isinstance(golds, Mapping):
+        golds = {ex.id: ex.output for ex in golds}
+    if not golds:
+        raise EvalError("no gold examples")
+    return golds
+
+
+def _accuracy(matched: dict[str, bool], golds: Mapping[str, Sequence[str]]) -> float:
+    return sum(1 for i in golds if matched.get(i, False)) / len(golds)
 
 
 def score_run(predictions: Iterable[PredictionRecord],
@@ -121,26 +153,25 @@ def score_run(predictions: Iterable[PredictionRecord],
     """Fraction of gold examples matched by the predictions of one replica.
     Missing predictions count as wrong; predictions for unknown ids are an
     error."""
-    if not isinstance(golds, Mapping):
-        golds = {ex.id: ex.output for ex in golds}
-    if not golds:
-        raise EvalError("no gold examples")
-    matched = _matches(predictions, golds, relax_oov_braces, oov_token, clause_set)
-    correct = sum(1 for i in golds if matched.get(i, False))
-    return correct / len(golds)
+    golds = _gold_map(golds)
+    (matched,) = _matches([predictions], golds, relax_oov_braces, oov_token, clause_set)
+    return _accuracy(matched, golds)
 
 
 def score_replicas(predictions: Iterable[PredictionRecord],
                    golds: Mapping[str, Sequence[str]] | Sequence[Example],
                    **options) -> dict[int, float]:
-    """Per-replica accuracies, keyed by replica index."""
+    """Per-replica accuracies, keyed by replica index; options are those
+    of score_run.  With clause_set each gold is parsed at most once."""
     by_replica: dict[int, list[PredictionRecord]] = {}
     for rec in predictions:
         by_replica.setdefault(rec.replica, []).append(rec)
     if not by_replica:
         raise PredictionError("no predictions")
-    return {rep: score_run(recs, golds, **options)
-            for rep, recs in sorted(by_replica.items())}
+    golds = _gold_map(golds)
+    replicas = sorted(by_replica)
+    matched = _matches([by_replica[rep] for rep in replicas], golds, **options)
+    return {rep: _accuracy(m, golds) for rep, m in zip(replicas, matched)}
 
 
 def aggregate_replicas(accuracies: Sequence[float], kind: str = "stdev",
@@ -192,7 +223,8 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     def length(ex: Example) -> int:
         return len(ex.input if axis == "input" else ex.output)
 
-    matched = _matches(predictions, {ex.id: ex.output for ex in golds}, **match_options)
+    (matched,) = _matches([predictions], {ex.id: ex.output for ex in golds},
+                          **match_options)
 
     def bucket_of(n: int) -> int:
         return (n - 1) // bucket_width

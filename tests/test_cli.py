@@ -495,6 +495,17 @@ def test_bad_input_file_exits_2_naming_it(name, option, case, cli_inputs, tmp_pa
     assert f"{bad}{where.get(case, '')}" in err
 
 
+def test_a_trace_too_deep_to_write_exits_2_naming_its_example(monkeypatch, tmp_path, capsys):
+    deep = data.DerivationTrace("leaf")
+    for _ in range(9_999):
+        deep = data.DerivationTrace("unary", (deep,))
+    monkeypatch.setattr(scan, "enumerate_dataset",
+                        lambda: [data.Example("deep", ("x",), ("X",), deep)])
+    assert run(["scan", "generate", "--out", str(tmp_path / "d.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == "compgen: error: example 'deep' is nested too deeply for JSON\n"
+
+
 @pytest.mark.parametrize("name,option,content,message", [
     ("dbca analyze", "--split", '{"spec": {"kind": "length"},\n "train": []}',
      ":1: missing key 'test'"),

@@ -202,6 +202,91 @@ def test_loaded_traces_share_equal_subtrees(scan_dataset, tmp_path):
     assert conj.rule == "and" and conj.children[0] is conj.children[1]
 
 
+def _distinct(strings) -> tuple[int, int]:
+    """(distinct objects, distinct values) among strings."""
+    strings = list(strings)
+    return len({id(s) for s in strings}), len(set(strings))
+
+
+def test_loaded_tokens_and_rules_are_shared(scan_dataset, tmp_path):
+    path = tmp_path / "scan.jsonl"
+    data.save_dataset(scan_dataset, path)
+    loaded = data.load_dataset(path)
+    tokens = [tok for ex in loaded for tok in ex.input + ex.output]
+    assert len(tokens) == 451_076
+    assert _distinct(tokens) == (19, 19)
+    nodes = {id(node): node for ex in loaded for node in ex.derivation.iter_nodes()}
+    assert _distinct(node.rule for node in nodes.values()) == (18, 18)
+    # A token and a rule that are equal strings are one object.
+    (twice,) = {id(tok) for tok in tokens if tok == "twice"}
+    assert {id(node.rule) for node in nodes.values() if node.rule == "twice"} == {twice}
+    # The table is per load: a second load shares nothing with the first.
+    again = data.load_dataset(path)
+    assert again[0].input[0] == loaded[0].input[0]
+    assert again[0].input[0] is not loaded[0].input[0]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("d.tsv", "jump twice\tJUMP JUMP\nwalk and jump\tWALK JUMP\n"),
+    ("d.jsonl", json.dumps({"input": "jump twice", "output": "JUMP JUMP"}) + "\n"
+     + json.dumps({"input": "walk and jump", "output": ["WALK", "JUMP"]}) + "\n"),
+], ids=["tsv", "string-tokens"])
+def test_tokens_are_shared_in_every_format(name, text, tmp_path):
+    path = tmp_path / name
+    path.write_text(text)
+    loaded = data.load_dataset(path)
+    tokens = [tok for ex in loaded for tok in ex.input + ex.output]
+    assert tokens == ["jump", "twice", "JUMP", "JUMP", "walk", "and", "jump", "WALK", "JUMP"]
+    assert _distinct(tokens) == (6, 6)
+
+
+def test_prediction_tokens_are_shared(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"id": "a", "prediction": ["X", "Y", "X"]}) + "\n"
+                    + json.dumps({"id": "b", "prediction": "Y X", "replica": 1}) + "\n")
+    records = data.load_predictions(path)
+    assert [r.tokens for r in records] == [("X", "Y", "X"), ("Y", "X")]
+    assert _distinct(tok for r in records for tok in r.tokens) == (2, 2)
+
+
+def chain(depth):
+    """A DerivationTrace of depth nodes: unary over unary over ... over a leaf."""
+    node = data.DerivationTrace("leaf")
+    for _ in range(depth - 1):
+        node = data.DerivationTrace("unary", (node,))
+    return node
+
+
+def test_a_deep_trace_converts_and_is_a_typed_error_to_save(tmp_path):
+    deep = chain(10_000)
+    obj, depth = deep.to_jsonable(), 1
+    while obj[1]:
+        assert obj[0] == "unary" and len(obj[1]) == 1
+        obj, depth = obj[1][0], depth + 1
+    assert obj == ["leaf", []] and depth == 10_000
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(deep)
+    path = tmp_path / "d.jsonl"
+    examples = [data.Example("ok", ("x",), ("X",), chain(3)),
+                data.Example("deep", ("x",), ("X",), deep)]
+    with pytest.raises(data.DataError, match="^example 'deep' is nested too deeply for JSON$"):
+        data.save_dataset(examples, path)
+
+
+def test_to_jsonable_matches_the_recursive_form(scan_dataset):
+    def recursive(trace):
+        return [trace.rule, [recursive(c) for c in trace.children]]
+
+    for ex in scan_dataset[::97]:
+        obj = ex.derivation.to_jsonable()
+        assert obj == recursive(ex.derivation)
+        assert data.DerivationTrace.from_jsonable(obj) == ex.derivation
+    (ex,) = [ex for ex in scan_dataset if ex.input == ("jump", "and", "jump")]
+    obj = ex.derivation.to_jsonable()
+    conj = obj[1][0][1]
+    assert conj[0] == conj[1] and conj[0] is not conj[1]  # a new list per node
+
+
 def test_predictions_roundtrip(tmp_path):
     records = [data.PredictionRecord("a", ("X", "Y"), 0),
                data.PredictionRecord("b", ("Z",), 1)]

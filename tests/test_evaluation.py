@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compgen import evaluation
+from compgen import evaluation, sparql
 from compgen.data import Example, PredictionRecord
 
 
@@ -91,6 +91,30 @@ def test_clause_set_scoring():
                         ("SELECT DISTINCT ?x1 WHERE { ?x0 a M1 . ?x1 b M2 }", 0.0)):
         assert evaluation.score_run([PredictionRecord("1", tuple(pred.split()))], golds,
                                     clause_set=True) == score
+
+
+def test_clause_set_replicas_parse_each_gold_once(monkeypatch):
+    query = "SELECT DISTINCT ?x0 WHERE {{ ?x0 a M{0} . ?x0 b M{1} }}"
+    swapped = "SELECT DISTINCT ?x0 WHERE {{ ?x0 b M{1} . ?x0 a M{0} }}"
+    golds = {str(i): query.format(i, i + 1).split() for i in range(4)}
+    golds["bad"] = "SELECT WHERE {".split()  # matches nothing: it does not parse
+    preds = [PredictionRecord("bad", ("SELECT",), 0)]
+    for rep in range(5):  # clauses swapped, or a prediction that does not parse
+        preds += [PredictionRecord(i, tuple(swapped.format(int(i), int(i) + 1).split()
+                                            if rep == 0 or (rep + int(i)) % 3 else ("SELECT",)), rep)
+                  for i in golds if i != "bad"]
+    expected = {rep: evaluation.score_run([p for p in preds if p.replica == rep], golds,
+                                          clause_set=True) for rep in range(5)}
+    assert expected == {0: 0.8, 1: 0.6, 2: 0.6, 3: 0.4, 4: 0.6}
+    parsed = []
+
+    def parse_sparql(text):
+        parsed.append(text)
+        return sparql.parse_sparql(text)
+    monkeypatch.setattr(evaluation, "parse_sparql", parse_sparql)
+    assert evaluation.score_replicas(preds, golds, clause_set=True) == expected
+    gold_texts = [" ".join(gold) for gold in golds.values()]
+    assert sorted(t for t in parsed if t in gold_texts) == sorted(gold_texts)
 
 
 def test_aggregate_constant_replicas():
