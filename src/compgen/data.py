@@ -16,12 +16,14 @@ import bisect
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from sys import intern
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class DataError(ValueError):
@@ -132,7 +134,7 @@ class JsonFile:
         return 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationTrace:
     """Tree of applied rule ids: the derivation of an example, and for SCAN
     also its command tree."""
@@ -143,6 +145,22 @@ class DerivationTrace:
     # overflow the stack, and nothing hashes a trace (_interned_trace finds
     # equal subtrees by rule and child ids).
     __hash__ = None
+
+    def __eq__(self, other):
+        """Equal rules and child counts, node pair by node pair in preorder
+        from an explicit stack, so that traces of any depth compare; a pair
+        that is one object is equal without a walk."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.rule != b.rule or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(reversed(a.children), reversed(b.children)))
+        return True
 
     def to_jsonable(self):
         """[rule, [subtree, ...]], a new list per node.  An explicit stack
@@ -159,31 +177,22 @@ class DerivationTrace:
                     stack.append((child.children, item[1]))
         return root
 
-    @staticmethod
-    def from_jsonable(obj) -> "DerivationTrace":
-        return _interned_trace(obj, {}, _Strings())
 
-    def iter_nodes(self) -> Iterator["DerivationTrace"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
-
-
-def _interned_trace(obj, memo: dict, strings: _Strings) -> DerivationTrace:
+def _interned_trace(obj, memo: dict) -> DerivationTrace:
     """The trace of obj, built so that equal subtrees are one object: memo
     maps (rule, ids of the interned children) to the node, and a leaf's
     rule to the leaf.  The children are interned first and memo keeps them
     alive, so their ids stay unique; the trees are frozen, so sharing them
-    is safe.  A memo hit has a checked rule: a new node's rule is looked up
-    in the table strings, which rejects one that is not a string."""
+    is safe.  A memo hit has a checked rule: a new node's rule goes through
+    sys.intern, which rejects one that is not a string."""
     rule, children = obj
     if type(children) is not list:
         raise TypeError("children must be a list")
-    kids = tuple([_interned_trace(c, memo, strings) for c in children])
+    kids = tuple([_interned_trace(c, memo) for c in children])
     key = (rule, *map(id, kids)) if kids else rule
     node = memo.get(key)
     if node is None:
-        node = memo[key] = DerivationTrace(strings[rule], kids)
+        node = memo[key] = DerivationTrace(intern(rule), kids)
     return node
 
 
@@ -233,31 +242,15 @@ def _json_object(line: str) -> dict:
     return obj
 
 
-class _Strings(dict):
-    """The string table of one load: strings[s] is the first string equal
-    to s that the table was given, so a file's equal tokens and rules are
-    one object (a file has few distinct ones).  A found key costs one C
-    lookup; a key that is not a string is a TypeError."""
-
-    def __missing__(self, key):
-        if type(key) is not str:
-            raise TypeError("not a string")
-        self[key] = key
-        return key
-
-    def tokens(self, tokens) -> tuple[str, ...]:
-        return tuple(map(self.__getitem__, tokens))
-
-
-def _tokens(obj: dict, key: str, strings: _Strings) -> tuple[str, ...]:
-    """obj[key] as tokens shared through strings: a string splits on
-    whitespace; a list must hold only strings."""
+def _tokens(obj: dict, key: str) -> tuple[str, ...]:
+    """obj[key] as interned tokens: a string splits on whitespace; a list
+    must hold only strings (sys.intern rejects any other value)."""
     value = obj[key]
     if type(value) is str:
-        return strings.tokens(value.split())
+        return tuple(map(intern, value.split()))
     if type(value) is list:
         try:
-            return strings.tokens(value)
+            return tuple(map(intern, value))
         except TypeError:
             pass
     raise TypeError(f"{key!r} must be {_TOKENS}")
@@ -312,29 +305,29 @@ def read_lines(path, parse, what: str) -> list:
 def load_dataset(path) -> list[Example]:
     """Load Examples from a tsv file (suffix .tsv or .txt) or a jsonl file.
     Missing ids are assigned from a content hash; duplicate ids are an
-    error.  Equal tokens and rules are one shared string, and equal
-    derivation subtrees one shared object."""
+    error.  Tokens and rules are interned (sys.intern), so equal ones are
+    one string within a load and across loads, and equal derivation
+    subtrees of one load are one shared object."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     seen = set()
     traces: dict = {}  # the memo of _interned_trace, for this load only
-    strings = _Strings()  # each distinct token and rule of this load
 
     def example(line):
         if tsv:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError("expected input<TAB>output")
-            inp, out = (strings.tokens(f.split()) for f in fields)
+            inp, out = (tuple(map(intern, f.split())) for f in fields)
             ex_id, trace, meta = None, None, {}
         else:
             obj = _json_object(line)
-            inp, out = _tokens(obj, "input", strings), _tokens(obj, "output", strings)
+            inp, out = _tokens(obj, "input"), _tokens(obj, "output")
             ex_id, trace, meta = obj.get("id"), obj.get("derivation"), obj.get("meta")
             if type(ex_id) is not str and ex_id is not None:
                 raise _mistyped(_EXAMPLE_LINE, "id")
             if trace is not None:
                 try:
-                    trace = _interned_trace(trace, traces, strings)
+                    trace = _interned_trace(trace, traces)
                 except (ValueError, TypeError):
                     raise _mistyped(_EXAMPLE_LINE, "derivation") from None
             if meta is None:
@@ -353,13 +346,17 @@ def load_dataset(path) -> list[Example]:
 def save_dataset(examples: Iterable[Example], path) -> None:
     """Write tsv (input and output only) or jsonl, by suffix as load_dataset
     reads.  An example nested too deeply for JSON, as a deep derivation
-    is, is a DataError naming it: load_dataset could not read it back."""
+    is, is a DataError naming it: load_dataset could not read it back.
+    The lines go to <path>.partial, which replaces path only once all are
+    written, so an error leaves path as it was and no partial file."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            if tsv:
-                fh.write(" ".join(ex.input) + "\t" + " ".join(ex.output) + "\n")
-            else:
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            for ex in examples:
+                if tsv:
+                    fh.write(" ".join(ex.input) + "\t" + " ".join(ex.output) + "\n")
+                    continue
                 obj = {"id": ex.id, "input": list(ex.input), "output": list(ex.output)}
                 if ex.derivation is not None:
                     obj["derivation"] = ex.derivation.to_jsonable()
@@ -371,13 +368,16 @@ def save_dataset(examples: Iterable[Example], path) -> None:
                     raise DataError(f"example {ex.id!r} is nested too deeply "
                                     "for JSON") from None
                 fh.write(line + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        Path(partial).unlink(missing_ok=True)
+        raise
 
 
 def load_predictions(path) -> list[PredictionRecord]:
     """Load prediction records: one JSON object per line with keys id,
-    prediction and replica (optional, default 0).  Equal tokens are one
-    shared string."""
-    strings = _Strings()  # each distinct token of this load
+    prediction and replica (optional, default 0).  Tokens are interned, as
+    load_dataset's are."""
 
     def record(line):
         obj = _json_object(line)
@@ -388,7 +388,7 @@ def load_predictions(path) -> list[PredictionRecord]:
             replica = 0
         elif type(replica) is not int:
             raise _mistyped(_PREDICTION_LINE, "replica")
-        return PredictionRecord(ex_id, _tokens(obj, "prediction", strings), replica)
+        return PredictionRecord(ex_id, _tokens(obj, "prediction"), replica)
 
     return read_lines(path, record, "predictions")
 

@@ -16,7 +16,7 @@ from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .data import DerivationTrace, Example
 from .splits import SplitResult, SplitSpec, random_partition
@@ -77,21 +77,6 @@ def extract_compounds(trace: DerivationTrace) -> Counter:
     compounds = []
     _walk(trace, [], compounds)
     return Counter(compounds)
-
-
-def divergence(p: Mapping[str, float], q: Mapping[str, float], alpha: float) -> float:
-    """1 minus the Chernoff coefficient sum(p^alpha * q^(1-alpha)), in [0, 1]:
-    the reference over distributions that the tests check _Divergence against."""
-    if not 0 < alpha < 1:
-        raise DbcaError(f"alpha must be in (0, 1), got {alpha}")
-    for name, dist in (("P", p), ("Q", q)):
-        if dist and abs(sum(dist.values()) - 1.0) > 1e-6:
-            raise DbcaError(f"{name} is not normalized")
-    if not p and not q:
-        return 0.0
-    coeff = sum(pv ** alpha * q[k] ** (1 - alpha)
-                for k, pv in p.items() if k in q)
-    return min(max(1.0 - coeff, 0.0), 1.0)
 
 
 def _check_args(examples: Iterable[Example], atom_alpha: float,

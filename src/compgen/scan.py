@@ -84,11 +84,6 @@ def _surface(tree: DerivationTrace) -> tuple[str, ...]:
     return _fill(RULES[tree.rule][0], [_surface(c) for c in tree.children])
 
 
-def serialize(tree: DerivationTrace) -> str:
-    """The surface command of a (sub)tree."""
-    return " ".join(_surface(tree))
-
-
 def interpret(tree: DerivationTrace) -> tuple[str, ...]:
     """Map a command tree to its action token sequence."""
     return _fill(RULES[tree.rule][1], [interpret(c) for c in tree.children])

@@ -27,11 +27,9 @@ clause_set_equal compares the projected terms as well as the clauses.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-FORMS = ("select_count", "select_distinct", "ask", "bare")
 IR_LEVELS = ("f1", "f2", "f3")
 
 
@@ -124,7 +122,8 @@ def _split_clauses(body: list[str]) -> list[list[str]]:
 
 
 def parse_sparql(text: str) -> SparqlQuery:
-    """Parse a query or a bare WHERE body into its clause set."""
+    """Parse a query or a bare WHERE body into its clause set; a repeated
+    triple is dropped, as a set holds it once."""
     tokens = _tokenize(text)
     if not tokens:
         raise SparqlParseError("empty query")
@@ -145,9 +144,7 @@ def parse_sparql(text: str) -> SparqlQuery:
             constraints.append(tuple(clause))
         elif len(clause) == 3:
             triple = tuple(clause)
-            if triple in seen:
-                warnings.warn(f"duplicate triple {' '.join(triple)!r} dropped")
-            else:
+            if triple not in seen:
                 seen.add(triple)
                 triples.append(triple)
         else:
@@ -190,26 +187,13 @@ def _group(triples: Iterable[tuple[str, str, str]], level: str) -> tuple:
 
 
 def ir_encode(query: SparqlQuery, level: str) -> IrQuery:
-    """Group the flat clause set; flattening the result reproduces exactly
-    the original triple set."""
+    """Group the flat clause set: every triple is in exactly one group
+    entry, so ir_decode of serialize_ir of the result gives back the same
+    triple set."""
     if level not in IR_LEVELS:
         raise ValueError(f"unknown ir level {level!r}")
     return IrQuery(level, query.form, query.header, _group(query.triples, level),
                    query.constraints)
-
-
-def ir_flatten(ir: IrQuery) -> SparqlQuery:
-    """Expand the grouping back to a flat clause set."""
-    triples = []
-    seen = set()
-    for s, entries in ir.groups:
-        for r, objects in entries:
-            for o in objects:
-                triple = (s, r, o)
-                if triple not in seen:
-                    seen.add(triple)
-                    triples.append(triple)
-    return SparqlQuery(ir.form, ir.header, tuple(triples), ir.constraints)
 
 
 def serialize_sparql(query: SparqlQuery) -> str:

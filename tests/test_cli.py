@@ -169,6 +169,12 @@ def test_split_mcd_and_dbca_analyze(tmp_path, small_dataset):
     assert lib_report == again
 
 
+def test_ir_encode_drops_a_repeated_triple_silently(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("M0 a M1 . M0 a M1\n"))
+    assert run(["ir", "encode", "--level", "f1"]) == 0
+    assert capsys.readouterr() == ("M0 { a M1 }\n", "")
+
+
 def test_ir_encode_decode(tmp_path):
     queries = tmp_path / "queries.txt"
     queries.write_text("M0 directed M2 . M1 directed M2 . "

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compgen import data, scan
+from oracle_dbca import nodes
 
 
 def test_tsv_load(tmp_path):
@@ -195,8 +196,8 @@ def test_loaded_traces_share_equal_subtrees(scan_dataset, tmp_path):
     assert len(loaded) == len(scan_dataset)
     assert all(a == b for a, b in zip(loaded, scan_dataset))
     # One object per distinct subtree of the whole file, not per occurrence.
-    nodes = {id(node) for ex in loaded for node in ex.derivation.iter_nodes()}
-    assert len(nodes) == 41_821
+    distinct = {id(node) for ex in loaded for node in nodes(ex.derivation)}
+    assert len(distinct) == 41_821
     (ex,) = [ex for ex in loaded if ex.input == ("jump", "and", "jump")]
     (conj,) = ex.derivation.children
     assert conj.rule == "and" and conj.children[0] is conj.children[1]
@@ -215,15 +216,26 @@ def test_loaded_tokens_and_rules_are_shared(scan_dataset, tmp_path):
     tokens = [tok for ex in loaded for tok in ex.input + ex.output]
     assert len(tokens) == 451_076
     assert _distinct(tokens) == (19, 19)
-    nodes = {id(node): node for ex in loaded for node in ex.derivation.iter_nodes()}
-    assert _distinct(node.rule for node in nodes.values()) == (18, 18)
+    distinct = {id(node): node for ex in loaded for node in nodes(ex.derivation)}
+    assert _distinct(node.rule for node in distinct.values()) == (18, 18)
     # A token and a rule that are equal strings are one object.
     (twice,) = {id(tok) for tok in tokens if tok == "twice"}
-    assert {id(node.rule) for node in nodes.values() if node.rule == "twice"} == {twice}
-    # The table is per load: a second load shares nothing with the first.
-    again = data.load_dataset(path)
-    assert again[0].input[0] == loaded[0].input[0]
-    assert again[0].input[0] is not loaded[0].input[0]
+    assert {id(node.rule) for node in distinct.values() if node.rule == "twice"} == {twice}
+
+
+def test_a_second_load_shares_tokens_with_the_first(tmp_path):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"input": "zorp quux", "output": ["ZORP", "QUUX"],
+                                "derivation": ["zorp_rule", []]}) + "\n")
+    pred.write_text(json.dumps({"id": "a", "prediction": "ZORP QUUX"}) + "\n")
+    first, again = data.load_dataset(gold)[0], data.load_dataset(gold)[0]
+    (record,) = data.load_predictions(pred)
+    assert first == again and first is not again
+    for a, b, c in zip(first.output, again.output, record.tokens):
+        assert a is b is c
+    assert all(a is b for a, b in zip(first.input, again.input))
+    assert first.derivation is not again.derivation  # each load has its own trace memo
+    assert first.derivation.rule is again.derivation.rule
 
 
 @pytest.mark.parametrize("name, text", [
@@ -249,9 +261,9 @@ def test_prediction_tokens_are_shared(tmp_path):
     assert _distinct(tok for r in records for tok in r.tokens) == (2, 2)
 
 
-def chain(depth):
+def chain(depth, leaf="leaf"):
     """A DerivationTrace of depth nodes: unary over unary over ... over a leaf."""
-    node = data.DerivationTrace("leaf")
+    node = data.DerivationTrace(leaf)
     for _ in range(depth - 1):
         node = data.DerivationTrace("unary", (node,))
     return node
@@ -273,14 +285,44 @@ def test_a_deep_trace_converts_and_is_a_typed_error_to_save(tmp_path):
         data.save_dataset(examples, path)
 
 
-def test_to_jsonable_matches_the_recursive_form(scan_dataset):
+def test_deep_traces_compare_without_recursion():
+    a, b, other = chain(10_000), chain(10_000), chain(10_000, leaf="other")
+    assert a is not b and a == b and not a != b
+    assert a != other and not a == other
+    assert a != chain(9_999) and chain(3) != data.DerivationTrace("unary", (chain(1), chain(1)))
+    assert a.__eq__("unary") is NotImplemented and a != "unary"
+
+    def example(trace):
+        return data.Example("x", ("x",), ("X",), trace)
+
+    assert example(a) == example(b) and example(a) != example(other)
+
+
+def test_a_failed_save_leaves_the_old_file(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("old\n")
+    examples = [data.Example("ok", ("x",), ("X",), chain(3)),
+                data.Example("deep", ("x",), ("X",), chain(10_000))]
+    with pytest.raises(data.DataError, match="^example 'deep' is nested too deeply for JSON$"):
+        data.save_dataset(examples, path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+    data.save_dataset(examples[:1], path)
+    assert data.load_dataset(path) == examples[:1]
+    assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+
+def test_to_jsonable_matches_the_recursive_form(scan_dataset, tmp_path):
     def recursive(trace):
         return [trace.rule, [recursive(c) for c in trace.children]]
 
-    for ex in scan_dataset[::97]:
+    sample = scan_dataset[::97]
+    path = tmp_path / "d.jsonl"
+    data.save_dataset(sample, path)
+    for ex, loaded in zip(sample, data.load_dataset(path)):
         obj = ex.derivation.to_jsonable()
         assert obj == recursive(ex.derivation)
-        assert data.DerivationTrace.from_jsonable(obj) == ex.derivation
+        assert loaded.derivation == ex.derivation
     (ex,) = [ex for ex in scan_dataset if ex.input == ("jump", "and", "jump")]
     obj = ex.derivation.to_jsonable()
     conj = obj[1][0][1]

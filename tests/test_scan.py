@@ -1,6 +1,6 @@
 import pytest
 
-from compgen import scan
+from compgen import data, scan
 from compgen.data import DerivationTrace as T
 from oracle_scan import rewrite
 
@@ -15,12 +15,14 @@ def test_single_primitive():
     assert actions("jump") == "JUMP"
 
 
-def test_repeat_and_conjunction_shape():
-    (tree,) = scan.parse_command("jump twice and walk").children
+def test_repeat_and_conjunction_shape(scan_dataset):
+    root = scan.parse_command("jump twice and walk")
+    (tree,) = root.children
     assert tree.rule == "and"
     assert tree.children[0] == T("twice", (T("prim_jump"),))
     assert tree.children[1] == T("prim_walk")
-    assert scan.serialize(tree) == "jump twice and walk"
+    (ex,) = [ex for ex in scan_dataset if ex.derivation == root]
+    assert ex.input == ("jump", "twice", "and", "walk")
 
 
 def test_paper_example():
@@ -78,7 +80,6 @@ def test_enumeration_count_and_consistency():
         ast = scan.parse_command(ex.input)
         assert ast == ex.derivation
         assert scan.interpret(ast) == ex.output
-        assert tuple(scan.serialize(ast).split()) == ex.input
 
 
 def test_enumeration_deterministic():
@@ -95,17 +96,24 @@ def test_no_nested_conjunction():
                 assert node.rule not in ("and", "after")
 
 
-def test_every_command_parses_back():
-    for tree in scan.iter_commands():
-        assert scan.parse_command(scan.serialize(tree)) == tree
+def test_every_command_parses_back(scan_dataset):
+    # An example's input is the surface of its derivation.
+    assert [ex.derivation for ex in scan_dataset] == list(scan.iter_commands())
+    for ex in scan_dataset:
+        assert scan.parse_command(ex.input) == ex.derivation
 
 
-def test_trace_replay():
-    for command in ["jump", "turn around left thrice after walk right",
-                    "look opposite right twice and run"]:
+def test_trace_replay(scan_dataset, tmp_path):
+    commands = ["jump", "turn around left thrice after walk right",
+                "look opposite right twice and run"]
+    by_input = {ex.input: ex for ex in scan_dataset}
+    examples = [by_input[tuple(command.split())] for command in commands]
+    path = tmp_path / "d.jsonl"
+    data.save_dataset(examples, path)
+    for command, ex, loaded in zip(commands, examples, data.load_dataset(path)):
         trace = scan.parse_command(command)
-        assert T.from_jsonable(trace.to_jsonable()) == trace
-        assert scan.serialize(trace) == command
+        assert ex.derivation == trace  # the surface of trace is command
+        assert loaded.derivation == trace
         assert trace.rule == scan.ROOT_RULE
 
 

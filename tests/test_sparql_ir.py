@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -52,10 +53,11 @@ def test_header_outside_the_grammar_is_rejected(header):
         sparql.ir_decode(f"{header} {{ M0 {{ a {{ M1 }} }} }}", "f2")
 
 
-def test_parse_duplicate_triples_warns():
-    with pytest.warns(UserWarning):
+def test_parse_drops_duplicate_triples():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         q = sparql.parse_sparql("M0 a M1 . M0 a M1 . M0 b M1")
-    assert len(q.triples) == 2
+    assert q.triples == (("M0", "a", "M1"), ("M0", "b", "M1"))
 
 
 def test_parse_errors():
@@ -189,7 +191,6 @@ def query_texts(draw):
     return f"{header} {{ {body} }}" if header else body
 
 
-@pytest.mark.filterwarnings("ignore:duplicate triple")
 @settings(max_examples=1000, deadline=None)
 @given(query_texts())
 def test_decode_inverts_encode_of_every_parsed_query(text):
@@ -277,10 +278,3 @@ def test_full_query_ir_roundtrip():
         ir_text = sparql.serialize_ir(sparql.ir_encode(q, level))
         assert ir_text.startswith("SELECT DISTINCT ?x0 WHERE {")
         assert sparql.clause_set_equal(sparql.ir_decode(ir_text, level), q)
-
-
-def test_flatten_reproduces_triples():
-    q = sparql.parse_sparql(PAPER_CLAUSES)
-    for level in sparql.IR_LEVELS:
-        flat = sparql.ir_flatten(sparql.ir_encode(q, level))
-        assert set(flat.triples) == set(q.triples)
