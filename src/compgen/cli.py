@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, data, dbca, evaluation, scan, splits, sparql
@@ -92,12 +93,12 @@ def _collector_paused():
 
 
 @contextmanager
-def _naming(path):
-    """Prefix an error about the predictions of a file with its path."""
+def _naming(path, error):
+    """Prefix an error of type error, about the records of a file, with its path."""
     try:
         yield
-    except evaluation.PredictionError as exc:
-        raise evaluation.PredictionError(f"{path}: {exc}") from exc
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def _scan_generate(args):
@@ -118,8 +119,9 @@ def _dbca_analyze(args):
     except KeyError as exc:
         raise data.DataError(f"{args.split}: split references unknown id "
                              f"{exc.args[0]!r}") from None
-    report = dbca.measure(train, test, args.atom_alpha, args.compound_alpha)
-    return json.dumps(report.to_jsonable(), indent=2) + "\n"
+    with _naming(args.infile, dbca.MissingTraceError):
+        report = dbca.measure(train, test, args.atom_alpha, args.compound_alpha)
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def _ir_encode(args):
@@ -138,23 +140,25 @@ def _prep_cgps_prefix(args):
                  data.load_token_map(args.token_map) if args.token_map else None)
     if token_map is None and not args.identity:
         raise data.DataError("need --token-map and/or --identity")
-    data.save_dataset(data.cgps_prefix_dataset(dataset, token_map, args.identity,
-                                               args.global_length), args.out)
+    with _naming(args.infile, data.AlreadyPrefixedError):
+        data.save_dataset(data.cgps_prefix_dataset(dataset, token_map, args.identity,
+                                                   args.global_length), args.out)
 
 
 def _eval_score(args):
     golds = data.load_dataset(args.gold)
     preds = data.load_predictions(args.pred)
-    with _naming(args.pred):
+    with _naming(args.pred, evaluation.PredictionError):
         per_replica = evaluation.score_replicas(
             preds, golds, relax_oov_braces=args.relax_braces,
             oov_token=args.oov_token, clause_set=args.clause_set)
     accs = list(per_replica.values())
     agg = evaluation.aggregate_replicas(accs, args.variance)
-    report = evaluation.EvalReport(args.split_name, tuple(accs), agg)
-    return json.dumps(report.to_jsonable(), indent=2) + "\n"
+    return json.dumps({"split": args.split_name, "replica_accuracies": accs,
+                       **asdict(agg)}, indent=2) + "\n"
 
 
+# An `eval score` output's evaluation.AggregateStat fields, and their kinds.
 _CELL = {"mean": "a number", "variance": "a number", "variance_kind": "a string",
          "n_replicas": "an integer"}
 
@@ -169,8 +173,8 @@ def _eval_report(args):
         results[model] = row = {}
         for split_name, cell in per_split.items():
             if cell is not None:
-                mean, variance, kind, n = doc.fields(cell, _CELL, per_split)
-                cell = evaluation.AggregateStat(100 * mean, 100 * variance, kind, n)
+                mean, variance, kind, n_replicas = doc.fields(cell, _CELL, per_split)
+                cell = evaluation.AggregateStat(100 * mean, 100 * variance, kind, n_replicas)
             row[split_name] = cell
     return evaluation.render_results_table(results)
 
@@ -179,7 +183,7 @@ def _eval_length_breakdown(args):
     golds = data.load_dataset(args.gold)
     train = data.load_dataset(args.train)
     preds = data.load_predictions(args.pred)
-    with _naming(args.pred):
+    with _naming(args.pred, evaluation.PredictionError):
         buckets = evaluation.length_breakdown(preds, golds, train,
                                               args.bucket_width, args.axis)
     lines = ["low,high,train_count,test_count,accuracy,unseen_length"]
@@ -243,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     def split(name, build):
         """A subcommand that saves build(dataset, args) to --out."""
         def run_split(args):
-            splits.save_split(build(data.load_dataset(args.infile), args), args.out)
+            dataset = data.load_dataset(args.infile)
+            with _naming(args.infile, dbca.MissingTraceError):
+                splits.save_split(build(dataset, args), args.out)
         p = leaf(split_sub, name, run_split, out=True)
         p.add_argument("--in", dest="infile", required=True)
         return p
@@ -301,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relax-braces", action="store_true")
     p.add_argument("--oov-token", default=evaluation.DEFAULT_OOV_TOKEN)
     p.add_argument("--clause-set", action="store_true")
-    p.add_argument("--variance", default="stdev",
-                   choices=["stdev", "ci95", "ci95_bootstrap"])
+    p.add_argument("--variance", default="stdev", choices=evaluation.VARIANCE_KINDS)
     p.add_argument("--split-name", default="split")
     p = leaf(eval_sub, "report", _eval_report, out=True)
     p.add_argument("--in", dest="infile", required=True,
@@ -312,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--bucket-width", type=int, default=5)
-    p.add_argument("--axis", choices=["input", "output"], default="output")
+    p.add_argument("--axis", choices=evaluation.LENGTH_AXES, default="output")
     p = leaf(eval_sub, "curve", _eval_curve)
     p.add_argument("--in", dest="infile", required=True,
                    help="JSON list of {divergence, accuracy, label}")

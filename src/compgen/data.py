@@ -33,6 +33,7 @@ class DataError(ValueError):
 # json.dumps builds a new encoder per call for any non-default option.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 _TSV_SUFFIXES = (".tsv", ".txt")  # a dataset file with another suffix is jsonl
+MAX_SAVED_DEPTH = 256  # derivation levels: 512 nested JSON arrays, well within what a load reads
 
 
 # The value kinds JsonFile.fields checks; "<kind> or null" also admits a
@@ -163,19 +164,25 @@ class DerivationTrace:
         return True
 
     def to_jsonable(self):
-        """[rule, [subtree, ...]], a new list per node.  An explicit stack
-        of (children, the list they go into) fills each node's list in
-        order, so that a trace of any depth converts."""
-        root = [self.rule, []]
-        stack = [(self.children, root[1])]
-        while stack:
-            children, out = stack.pop()
-            for child in children:
-                item = [child.rule, []]
-                out.append(item)
-                if child.children:
-                    stack.append((child.children, item[1]))
-        return root
+        """[rule, [subtree, ...]], a new list per node, for any depth."""
+        return _jsonable(self)[0]
+
+
+def _jsonable(trace: DerivationTrace) -> tuple[list, int]:
+    """trace.to_jsonable() and the depth of trace (1 for a leaf).  Each node's
+    list fills in order from an explicit stack of (children, list, level)."""
+    root = [trace.rule, []]
+    stack, depth = [(trace.children, root[1], 2)], 1
+    while stack:
+        children, out, level = stack.pop()
+        if children and level > depth:
+            depth = level
+        for child in children:
+            item = [child.rule, []]
+            out.append(item)
+            if child.children:
+                stack.append((child.children, item[1], level + 1))
+    return root, depth
 
 
 def _interned_trace(obj, memo: dict) -> DerivationTrace:
@@ -345,10 +352,11 @@ def load_dataset(path) -> list[Example]:
 
 def save_dataset(examples: Iterable[Example], path) -> None:
     """Write tsv (input and output only) or jsonl, by suffix as load_dataset
-    reads.  An example nested too deeply for JSON, as a deep derivation
-    is, is a DataError naming it: load_dataset could not read it back.
-    The lines go to <path>.partial, which replaces path only once all are
-    written, so an error leaves path as it was and no partial file."""
+    reads.  An example that load_dataset could not read back is a DataError
+    naming it: one with a derivation deeper than MAX_SAVED_DEPTH levels, or
+    otherwise nested too deeply for JSON.  The lines go to <path>.partial,
+    which replaces path only once all are written, so an error leaves path
+    as it was and no partial file."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     partial = f"{path}.partial"
     try:
@@ -357,9 +365,12 @@ def save_dataset(examples: Iterable[Example], path) -> None:
                 if tsv:
                     fh.write(" ".join(ex.input) + "\t" + " ".join(ex.output) + "\n")
                     continue
-                obj = {"id": ex.id, "input": list(ex.input), "output": list(ex.output)}
+                obj = {"id": ex.id, "input": ex.input, "output": ex.output}
                 if ex.derivation is not None:
-                    obj["derivation"] = ex.derivation.to_jsonable()
+                    obj["derivation"], depth = _jsonable(ex.derivation)
+                    if depth > MAX_SAVED_DEPTH:
+                        raise DataError(f"example {ex.id!r} has a derivation {depth} levels "
+                                        f"deep; a saved one may have at most {MAX_SAVED_DEPTH}")
                 if ex.meta:
                     obj["meta"] = dict(ex.meta)
                 try:

@@ -33,6 +33,10 @@ class InfeasibleSplitError(DbcaError):
     pass
 
 
+class MissingTraceError(DbcaError):
+    """An example without the derivation trace that divergences count."""
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     atom_divergence: float
@@ -41,9 +45,6 @@ class DivergenceReport:
     compound_alpha: float
     train_size: int
     test_size: int
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
 
 
 def _walk(trace: DerivationTrace, atoms: list, compounds: list) -> None:
@@ -86,7 +87,7 @@ def _check_args(examples: Iterable[Example], atom_alpha: float,
             raise DbcaError(f"alpha must be in (0, 1), got {alpha}")
     for ex in examples:
         if ex.derivation is None:
-            raise DbcaError(f"example {ex.id!r} has no derivation trace")
+            raise MissingTraceError(f"example {ex.id!r} has no derivation trace")
 
 
 def measure(train: Sequence[Example], test: Sequence[Example],
@@ -295,5 +296,5 @@ def build_mcd_split(examples: Sequence[Example],
     result = SplitResult(spec, tuple(examples[i].id for i in train_idx),
                          tuple(examples[i].id for i in test_idx),
                          {"train_size": len(train_idx), "test_size": len(test_idx),
-                          "divergence": report.to_jsonable()})
+                          "divergence": asdict(report)})
     return result, report

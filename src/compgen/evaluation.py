@@ -19,6 +19,8 @@ from .sparql import (IrDecodeError, SparqlParseError, clause_set_equal,
 
 BRACES = ("{", "}")
 DEFAULT_OOV_TOKEN = "<unk>"
+VARIANCE_KINDS = ("stdev", "ci95", "ci95_bootstrap")  # see aggregate_replicas
+LENGTH_AXES = ("input", "output")  # the sequence length_breakdown measures
 
 
 class EvalError(ValueError):
@@ -35,10 +37,12 @@ class PredictionError(EvalError):
 
 @dataclass(frozen=True)
 class AggregateStat:
+    """Replica accuracies aggregated; `eval score` writes these fields, by
+    these names and in this order, after the split and the accuracies."""
     mean: float
-    variance_value: float
-    variance_kind: str  # stdev | ci95 | ci95_bootstrap
-    n: int
+    variance: float
+    variance_kind: str  # one of VARIANCE_KINDS
+    n_replicas: int
 
 
 @dataclass(frozen=True)
@@ -49,23 +53,6 @@ class LengthBucket:
     test_count: int
     accuracy: Optional[float]
     unseen_length: bool
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    split: str
-    replica_accuracies: tuple[float, ...]
-    aggregate: AggregateStat
-
-    def to_jsonable(self) -> dict:
-        return {
-            "split": self.split,
-            "replica_accuracies": list(self.replica_accuracies),
-            "mean": self.aggregate.mean,
-            "variance": self.aggregate.variance_value,
-            "variance_kind": self.aggregate.variance_kind,
-            "n_replicas": self.aggregate.n,
-        }
 
 
 def exact_match(prediction: Sequence[str], gold: Sequence[str],
@@ -183,7 +170,7 @@ def aggregate_replicas(accuracies: Sequence[float], kind: str = "stdev",
     half-width 1.96 * stdev / sqrt(n); ci95_bootstrap a percentile bootstrap
     half-width for comparison.  Each is 0 for a single replica.
     """
-    if kind not in ("stdev", "ci95", "ci95_bootstrap"):
+    if kind not in VARIANCE_KINDS:
         raise EvalError(f"unknown variance kind {kind!r}")
     accuracies = list(accuracies)
     if not accuracies:
@@ -217,8 +204,8 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     maximum train length are flagged as unseen."""
     if bucket_width < 1:
         raise EvalError("bucket_width must be >= 1")
-    if axis not in ("input", "output"):
-        raise EvalError(f"axis must be 'input' or 'output', got {axis!r}")
+    if axis not in LENGTH_AXES:
+        raise EvalError(f"axis must be one of {LENGTH_AXES}, got {axis!r}")
 
     def length(ex: Example) -> int:
         return len(ex.input if axis == "input" else ex.output)
@@ -286,8 +273,8 @@ def render_results_table(results: Mapping[str, Mapping[str, Optional[AggregateSt
                 cells.append("-")
                 continue
             text = f"{stat.mean:.1f}"
-            if stat.n > 1:
-                text += f" ± {stat.variance_value:.1f}"
+            if stat.n_replicas > 1:
+                text += f" ± {stat.variance:.1f}"
             if stat.variance_kind not in kinds:
                 kinds.append(stat.variance_kind)
             if stat.mean >= best[s] - 0.5:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -27,10 +27,6 @@ class SplitSpec:
     seed: int = 0
     train_fraction: Optional[float] = None
 
-    def to_jsonable(self) -> dict:
-        return {"kind": self.kind, "parameter": self.parameter,
-                "seed": self.seed, "train_fraction": self.train_fraction}
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -39,14 +35,13 @@ class SplitResult:
     test_ids: tuple[str, ...]
     stats: dict = field(default_factory=dict)
 
-    def to_jsonable(self) -> dict:
-        return {"spec": self.spec.to_jsonable(), "train": list(self.train_ids),
-                "test": list(self.test_ids), "stats": self.stats}
-
 
 def save_split(result: SplitResult, path) -> None:
-    Path(path).write_text(json.dumps(result.to_jsonable(), indent=2) + "\n",
-                          encoding="utf-8")
+    """The split as the JSON object load_split reads: the spec's fields,
+    the ids as "train" and "test", and the stats."""
+    doc = {"spec": asdict(result.spec), "train": list(result.train_ids),
+           "test": list(result.test_ids), "stats": result.stats}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_split(path) -> SplitResult:

@@ -171,7 +171,7 @@ def test_criterion_8_evaluation_protocol():
     assert evaluation.exact_match(["SELECT", "<unk>", "?x0", "<unk>"], gold,
                                   relax_oov_braces=True)
     agg = evaluation.aggregate_replicas([0.42] * 5, "ci95")
-    assert agg.variance_value == 0.0
+    assert agg.variance == 0.0
     table = evaluation.render_results_table({
         "A": {"s1": evaluation.AggregateStat(98.8, 1.4, "stdev", 5),
               "s2": None},

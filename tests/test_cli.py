@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import hashlib
 import io
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from compgen import data, dbca, scan, splits
+from compgen import cli, data, dbca, evaluation, scan, splits
 from compgen.cli import build_parser, run
 
 
@@ -218,6 +219,11 @@ def test_eval_score(tmp_path):
                 "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["mean"] == 0.5 and report["n_replicas"] == 1
+    # The keys after split and accuracies are AggregateStat's fields, which
+    # `eval report` reads back.
+    stat_keys = [f.name for f in dataclasses.fields(evaluation.AggregateStat)]
+    assert list(report) == ["split", "replica_accuracies", *stat_keys]
+    assert list(cli._CELL) == stat_keys
 
 
 def test_eval_report(tmp_path):
@@ -290,6 +296,27 @@ def test_split_mcd_alpha_out_of_range(option, value, tmp_path, small_dataset, ca
     assert run(["split", "mcd", "--in", str(small_dataset), "--out", str(out),
                 "--iterations", "10", option, value]) == 2
     assert capsys.readouterr().err.startswith(f"compgen: error: alpha must be in (0, 1), got {value}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["dbca analyze", "split mcd", "prep twice"])
+def test_an_error_about_a_loaded_example_names_its_file(case, tmp_path, capsys):
+    tsv = tmp_path / "d.tsv"
+    tsv.write_text("jump\tJUMP\nwalk twice\tWALK WALK\nrun left\tRTURN RUN\n")
+    split, out = tmp_path / "split.json", tmp_path / "out.jsonl"
+    assert run(["split", "random", "--in", str(tsv), "--out", str(split)]) == 0
+    first = tmp_path / "prefixed.jsonl"
+    assert run(["prep", "cgps-prefix", "--in", str(tsv), "--identity", "--out", str(first)]) == 0
+    capsys.readouterr()
+    infile, argv, message = {
+        "dbca analyze": (tsv, ["dbca", "analyze", "--split", str(split)],
+                         "has no derivation trace"),
+        "split mcd": (tsv, ["split", "mcd", "--iterations", "10"], "has no derivation trace"),
+        "prep twice": (first, ["prep", "cgps-prefix", "--identity"], "is already prefixed"),
+    }[case]
+    assert run(argv + ["--in", str(infile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"compgen: error: {infile}: example '") and err.endswith(f"{message}\n")
     assert not out.exists()
 
 
@@ -509,7 +536,30 @@ def test_a_trace_too_deep_to_write_exits_2_naming_its_example(monkeypatch, tmp_p
                         lambda: [data.Example("deep", ("x",), ("X",), deep)])
     assert run(["scan", "generate", "--out", str(tmp_path / "d.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert err == "compgen: error: example 'deep' is nested too deeply for JSON\n"
+    assert err == ("compgen: error: example 'deep' has a derivation 10000 levels deep; "
+                   "a saved one may have at most 256\n")
+
+
+def test_a_trace_at_the_depth_bound_round_trips_through_the_cli(monkeypatch, tmp_path, capsys):
+    deep = data.DerivationTrace("leaf")
+    for _ in range(data.MAX_SAVED_DEPTH - 1):
+        deep = data.DerivationTrace("unary", (deep,))
+    example = data.Example("deep", ("x",), ("X",), deep)
+    monkeypatch.setattr(scan, "enumerate_dataset", lambda: [example])
+    saved, prefixed = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+    assert run(["scan", "generate", "--out", str(saved)]) == 0
+    assert run(["prep", "cgps-prefix", "--in", str(saved), "--identity",
+                "--out", str(prefixed)]) == 0
+    assert data.load_dataset(saved) == [example]
+    (loaded,) = data.load_dataset(prefixed)
+    assert loaded.input == ("<p0>", "x") and loaded.derivation == deep
+    deeper = data.Example("deeper", ("x",), ("X",), data.DerivationTrace("unary", (deep,)))
+    monkeypatch.setattr(scan, "enumerate_dataset", lambda: [deeper])
+    assert run(["scan", "generate", "--out", str(tmp_path / "e.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        f"compgen: error: example 'deeper' has a derivation {data.MAX_SAVED_DEPTH + 1} "
+        f"levels deep; a saved one may have at most {data.MAX_SAVED_DEPTH}\n")
+    assert not (tmp_path / "e.jsonl").exists()
 
 
 @pytest.mark.parametrize("name,option,content,message", [

@@ -281,8 +281,24 @@ def test_a_deep_trace_converts_and_is_a_typed_error_to_save(tmp_path):
     path = tmp_path / "d.jsonl"
     examples = [data.Example("ok", ("x",), ("X",), chain(3)),
                 data.Example("deep", ("x",), ("X",), deep)]
-    with pytest.raises(data.DataError, match="^example 'deep' is nested too deeply for JSON$"):
+    with pytest.raises(data.DataError, match="^example 'deep' has a derivation 10000 levels deep; "
+                       "a saved one may have at most 256$"):
         data.save_dataset(examples, path)
+
+
+def test_a_derivation_at_the_depth_bound_round_trips(tmp_path):
+    bound = data.MAX_SAVED_DEPTH
+    path = tmp_path / "d.jsonl"
+    examples = [data.Example("ok", ("x",), ("X",), chain(3)),
+                data.Example("deepest", ("x",), ("X",), chain(bound))]
+    data.save_dataset(examples, path)
+    assert data.load_dataset(path) == examples
+    path.unlink()
+    examples[1] = data.Example("deeper", ("x",), ("X",), chain(bound + 1))
+    with pytest.raises(data.DataError, match=f"^example 'deeper' has a derivation {bound + 1} "
+                       f"levels deep; a saved one may have at most {bound}$"):
+        data.save_dataset(examples, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deep_traces_compare_without_recursion():
@@ -303,7 +319,8 @@ def test_a_failed_save_leaves_the_old_file(tmp_path):
     path.write_text("old\n")
     examples = [data.Example("ok", ("x",), ("X",), chain(3)),
                 data.Example("deep", ("x",), ("X",), chain(10_000))]
-    with pytest.raises(data.DataError, match="^example 'deep' is nested too deeply for JSON$"):
+    with pytest.raises(data.DataError, match="^example 'deep' has a derivation 10000 levels deep; "
+                       "a saved one may have at most 256$"):
         data.save_dataset(examples, path)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]

@@ -119,32 +119,32 @@ def test_clause_set_replicas_parse_each_gold_once(monkeypatch):
 
 def test_aggregate_constant_replicas():
     agg = evaluation.aggregate_replicas([0.5, 0.5, 0.5], "ci95")
-    assert agg.mean == 0.5 and agg.variance_value == 0.0
+    assert agg.mean == 0.5 and agg.variance == 0.0
 
 
 def test_aggregate_stdev_hand_value():
     agg = evaluation.aggregate_replicas([0.0, 1.0], "stdev")
     assert agg.mean == 0.5
-    assert abs(agg.variance_value - 0.7071067811865476) < 1e-12
+    assert abs(agg.variance - 0.7071067811865476) < 1e-12
 
 
 def test_aggregate_ci95_formula():
     accs = [0.2, 0.4, 0.6, 0.8]
     agg = evaluation.aggregate_replicas(accs, "ci95")
     import statistics
-    assert abs(agg.variance_value
+    assert abs(agg.variance
                - 1.96 * statistics.stdev(accs) / math.sqrt(4)) < 1e-12
 
 
 def test_aggregate_single_replica_flagged():
     agg = evaluation.aggregate_replicas([0.7], "stdev")
-    assert agg.n == 1 and agg.variance_value == 0.0 and agg.mean == 0.7
+    assert agg.n_replicas == 1 and agg.variance == 0.0 and agg.mean == 0.7
 
 
 def test_aggregate_bootstrap_reasonable():
     agg = evaluation.aggregate_replicas([0.0, 1.0, 0.5, 0.5], "ci95_bootstrap",
                                         bootstrap_samples=2000, seed=1)
-    assert 0.0 < agg.variance_value < 1.0
+    assert 0.0 < agg.variance < 1.0
 
 
 def test_aggregate_mean_in_hull():

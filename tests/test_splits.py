@@ -113,6 +113,16 @@ def test_template_holdout_membership(scan_dataset):
     assert ids["jump around left"] not in test
 
 
+def test_template_holdout_sizes(scan_dataset):
+    result = splits.build_template_holdout(scan_dataset, "$Primitive around right")
+    assert (len(result.train_ids), len(result.test_ids)) == (16290, 4620)
+    # The sizes README gives, as an unconfirmed recollection, for the split of
+    # Loula et al. 2018 (arXiv:1807.07545): every command with "turn left" dropped.
+    kept = [ex for ex in scan_dataset if not window_contains(ex.input, [("turn", "left")])]
+    result = splits.build_template_holdout(kept, "$Primitive around right")
+    assert (len(result.train_ids), len(result.test_ids)) == (15225, 4476)
+
+
 def window_contains(tokens, phrases):
     return any(tuple(tokens[i:i + len(p)]) == p for p in phrases
                for i in range(len(tokens) - len(p) + 1))
