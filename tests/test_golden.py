@@ -122,7 +122,7 @@ def _pipeline():
                 text = _query(header, triples[::-1], filters)
             elif variant == 2:  # one wrong object
                 text = _query(header, triples[:-1] + [triples[-1][:2] + ("M9",)], filters)
-            else:  # does not parse
+            else:  # braces dropped: no parse, except a bare query, which has none
                 text = _query(header, triples, filters).replace("}", "")
             cfq_preds.append({"id": qid, "replica": r, "prediction": text})
     _write_jsonl("cfq.jsonl", gold)
