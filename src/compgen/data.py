@@ -33,7 +33,9 @@ class DataError(ValueError):
 # json.dumps builds a new encoder per call for any non-default option.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 _TSV_SUFFIXES = (".tsv", ".txt")  # a dataset file with another suffix is jsonl
-MAX_SAVED_DEPTH = 256  # derivation levels: 512 nested JSON arrays, well within what a load reads
+# Derivation levels (512 nested JSON arrays) and meta levels (nested JSON
+# objects and arrays) that a saved example may have: well within what a load reads.
+MAX_SAVED_DEPTH = 256
 
 
 # The value kinds JsonFile.fields checks; "<kind> or null" also admits a
@@ -183,6 +185,21 @@ def _jsonable(trace: DerivationTrace) -> tuple[list, int]:
             if child.children:
                 stack.append((child.children, item[1], level + 1))
     return root, depth
+
+
+def _nested_deeper_than(value, bound: int) -> bool:
+    """Whether the JSON containers of value (dicts, lists and tuples, value
+    itself being one) nest more than bound levels; from an explicit stack
+    that stops past the bound, so that no depth, nor a cycle, is too deep."""
+    stack = [(value, 1)]
+    while stack:
+        value, level = stack.pop()
+        if level > bound:
+            return True
+        for item in value.values() if isinstance(value, dict) else value:
+            if isinstance(item, (dict, list, tuple)):
+                stack.append((item, level + 1))
+    return False
 
 
 def _interned_trace(obj, memo: dict) -> DerivationTrace:
@@ -353,10 +370,10 @@ def load_dataset(path) -> list[Example]:
 def save_dataset(examples: Iterable[Example], path) -> None:
     """Write tsv (input and output only) or jsonl, by suffix as load_dataset
     reads.  An example that load_dataset could not read back is a DataError
-    naming it: one with a derivation deeper than MAX_SAVED_DEPTH levels, or
-    otherwise nested too deeply for JSON.  The lines go to <path>.partial,
-    which replaces path only once all are written, so an error leaves path
-    as it was and no partial file."""
+    naming it: one with a derivation or a meta deeper than MAX_SAVED_DEPTH
+    levels, or otherwise nested too deeply for JSON.  The lines go to
+    <path>.partial, which replaces path only once all are written, so an
+    error leaves path as it was and no partial file."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     partial = f"{path}.partial"
     try:
@@ -372,7 +389,11 @@ def save_dataset(examples: Iterable[Example], path) -> None:
                         raise DataError(f"example {ex.id!r} has a derivation {depth} levels "
                                         f"deep; a saved one may have at most {MAX_SAVED_DEPTH}")
                 if ex.meta:
-                    obj["meta"] = dict(ex.meta)
+                    obj["meta"] = meta = dict(ex.meta)
+                    if _nested_deeper_than(meta, MAX_SAVED_DEPTH):
+                        raise DataError(f"example {ex.id!r} has a meta more than "
+                                        f"{MAX_SAVED_DEPTH} levels deep; a saved one "
+                                        f"may have at most {MAX_SAVED_DEPTH}")
                 try:
                     line = _ENCODER.encode(obj)
                 except RecursionError:

@@ -142,7 +142,7 @@ class _Divergence:
     per-key delta; the state changes only on commit()."""
 
     def __init__(self, rows: Sequence[tuple], train_idx, test_idx, alpha: float):
-        self.rows, self.alpha = rows, alpha
+        self.rows, self.alpha, self.beta = rows, alpha, 1 - alpha
         self.sizes = [sum(v for _, v in row) for row in rows]
         n = 1 + max((k for row in rows for k, _ in row), default=-1)
         self.train, self.test = [0] * n, [0] * n
@@ -154,10 +154,12 @@ class _Divergence:
         # c**a and d**(1-a) for every count a key can reach; 0 for count 0.
         top = max((c + d for c, d in zip(self.train, self.test)), default=0)
         self.pow_train = array("d", [0.0] + [float(c) ** alpha for c in range(1, top + 1)])
-        self.pow_test = array("d", [0.0] + [float(d) ** (1 - alpha) for d in range(1, top + 1)])
+        self.pow_test = array("d", [0.0] + [float(d) ** self.beta for d in range(1, top + 1)])
         pa, pb = self.pow_train, self.pow_test
+        # Each key's term c**a * d**(1-a), rewritten when its counts change.
         # fsum: the fresh value depends on the counts, not on the key order.
-        self.chernoff_sum = math.fsum(pa[c] * pb[d] for c, d in zip(self.train, self.test))
+        self.terms = [pa[c] * pb[d] for c, d in zip(self.train, self.test)]
+        self.chernoff_sum = math.fsum(self.terms)
         self._pending = None
 
     def value(self) -> float:
@@ -167,8 +169,8 @@ class _Divergence:
         if train_total <= 0 or test_total <= 0:
             # Two empty sides are equal; an empty and a non-empty one share nothing.
             return 0.0 if train_total == test_total == 0 else 1.0
-        norm = train_total ** self.alpha * test_total ** (1 - self.alpha)
-        return min(max(1.0 - chernoff_sum / norm, 0.0), 1.0)
+        value = 1.0 - chernoff_sum / (train_total ** self.alpha * test_total ** self.beta)
+        return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
     def propose(self, out_i: int, in_i: int) -> float:
         """The value after moving example out_i from train to test and
@@ -176,13 +178,13 @@ class _Divergence:
         delta = dict(self.rows[out_i])
         for k, v in self.rows[in_i]:
             delta[k] = delta.get(k, 0) - v
-        train, test, pa, pb = self.train, self.test, self.pow_train, self.pow_test
+        train, test, pa, pb, terms = (self.train, self.test, self.pow_train,
+                                      self.pow_test, self.terms)
         before = after = 0.0
         for k, v in delta.items():
             if v:
-                c, d = train[k], test[k]
-                before += pa[c] * pb[d]
-                after += pa[c - v] * pb[d + v]
+                before += terms[k]
+                after += pa[train[k] - v] * pb[test[k] + v]
         chernoff_sum = self.chernoff_sum + (after - before)
         shift = self.sizes[out_i] - self.sizes[in_i]
         self._pending = delta, chernoff_sum, shift
@@ -192,10 +194,13 @@ class _Divergence:
     def commit(self):
         """Apply the last proposal."""
         delta, self.chernoff_sum, shift = self._pending
-        train, test = self.train, self.test
+        train, test, pa, pb, terms = (self.train, self.test, self.pow_train,
+                                      self.pow_test, self.terms)
         for k, v in delta.items():
-            train[k] -= v
-            test[k] += v
+            if v:
+                c = train[k] = train[k] - v
+                d = test[k] = test[k] + v
+                terms[k] = pa[c] * pb[d]
         self.train_total -= shift
         self.test_total += shift
 
@@ -235,9 +240,14 @@ def build_mcd_split(examples: Sequence[Example],
     first-seen order over `examples`, each example is a tuple of (id, count)
     pairs, and each side holds its counts in int lists.  A proposal is
     scored from the net per-key delta of the swap, with c**a and d**(1-a)
-    read from tables, and changes nothing unless it is accepted; the
-    compound side is scored only when the atom test passes.  No step
-    depends on hash order, so the split is a function of the arguments.
+    read from tables, and changes nothing unless it is accepted.  While the
+    atom divergence is above the bound (repair), the atom side is scored
+    first and the compound side only when the atom divergence falls; after
+    that, the compound side is scored first and the atom side only when the
+    objective improves.  Each key's term of the Chernoff sum is kept, so a
+    proposal reads the terms it replaces.  Swap positions are drawn with
+    getrandbits exactly as rng.randrange draws them.  No step depends on
+    hash order, so the split is a function of the arguments.
     The final partition is measured afresh from the rows' counts, without
     extracting atoms and compounds again.
     """
@@ -255,24 +265,41 @@ def build_mcd_split(examples: Sequence[Example],
     cur_atom = atoms.value()
     no_improve = 0
     proposals = 0
+    # Swap positions drawn as rng.randrange(n) draws them: getrandbits of
+    # n's bit length until the value is below n.  Neither side is empty.
+    getrandbits = rng.getrandbits
+    n_train, n_test = len(train_idx), len(test_idx)
+    train_bits, test_bits = n_train.bit_length(), n_test.bit_length()
     while no_improve < iterations and proposals < max_proposals:
         proposals += 1
-        ti = rng.randrange(len(train_idx))
-        si = rng.randrange(len(test_idx))
+        ti = getrandbits(train_bits)
+        while ti >= n_train:
+            ti = getrandbits(train_bits)
+        si = getrandbits(test_bits)
+        while si >= n_test:
+            si = getrandbits(test_bits)
         out_i, in_i = train_idx[ti], test_idx[si]
-        new_atom = atoms.propose(out_i, in_i)
-        # Repair phase: first get under the atom bound.
-        repairing = cur_atom > max_atom_divergence
-        if new_atom < cur_atom - 1e-12 if repairing else new_atom <= max_atom_divergence:
+        if cur_atom > max_atom_divergence:
+            # Repair phase: first get under the atom bound.
+            new_atom = atoms.propose(out_i, in_i)
+            accept = new_atom < cur_atom - 1e-12
+            if accept:
+                new_obj = abs(comps.propose(out_i, in_i) - target_compound_divergence)
+        else:
+            # Few swaps improve the objective, so it is scored first.
             new_obj = abs(comps.propose(out_i, in_i) - target_compound_divergence)
-            if repairing or new_obj < cur_obj - 1e-12:
-                atoms.commit()
-                comps.commit()
-                train_idx[ti], test_idx[si] = in_i, out_i
-                cur_obj, cur_atom = new_obj, new_atom
-                no_improve = 0
-                continue
-        no_improve += 1
+            accept = new_obj < cur_obj - 1e-12
+            if accept:
+                new_atom = atoms.propose(out_i, in_i)
+                accept = new_atom <= max_atom_divergence
+        if accept:
+            atoms.commit()
+            comps.commit()
+            train_idx[ti], test_idx[si] = in_i, out_i
+            cur_obj, cur_atom = new_obj, new_atom
+            no_improve = 0
+        else:
+            no_improve += 1
 
     train_idx.sort()
     test_idx.sort()

@@ -200,8 +200,9 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
                      bucket_width: int = 5,
                      axis: str = "output",
                      **match_options) -> list[LengthBucket]:
-    """Per-length-bucket train/test counts and accuracy.  Buckets beyond the
-    maximum train length are flagged as unseen."""
+    """Per-length-bucket train/test counts and accuracy of the predictions
+    of one replica.  Buckets beyond the maximum train length are flagged as
+    unseen."""
     if bucket_width < 1:
         raise EvalError("bucket_width must be >= 1")
     if axis not in LENGTH_AXES:
@@ -210,6 +211,11 @@ def length_breakdown(predictions: Iterable[PredictionRecord],
     def length(ex: Example) -> int:
         return len(ex.input if axis == "input" else ex.output)
 
+    predictions = list(predictions)
+    replicas = sorted({rec.replica for rec in predictions})
+    if len(replicas) > 1:
+        raise PredictionError("the length breakdown scores one replica; the predictions "
+                              f"hold replicas {', '.join(map(str, replicas))}")
     (matched,) = _matches([predictions], {ex.id: ex.output for ex in golds},
                           **match_options)
 

@@ -345,8 +345,7 @@ def test_env_seed_not_an_integer(tmp_path, small_dataset, monkeypatch, capsys):
 def test_eval_prediction_errors_name_file(tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
     gold.write_text(json.dumps({"id": "1", "input": ["a"], "output": ["A"]}) + "\n")
-    rows = [json.dumps({"id": "1", "prediction": [tok], "replica": r})
-            for r, tok in enumerate(["A", "X"])]
+    rows = [json.dumps({"id": "1", "prediction": [tok]}) for tok in ["A", "X"]]
     for name, lines in (("ax.jsonl", rows), ("xa.jsonl", rows[::-1])):
         pred = tmp_path / name
         pred.write_text("\n".join(lines) + "\n")
@@ -356,6 +355,20 @@ def test_eval_prediction_errors_name_file(tmp_path, capsys):
     pred.write_text(json.dumps({"id": "9", "prediction": ["A"]}) + "\n")
     assert run(["eval", "score", "--gold", str(gold), "--pred", str(pred)]) == 2
     assert f"{pred}: prediction for unknown id '9'" in capsys.readouterr().err
+
+
+def test_length_breakdown_of_several_replicas_names_them(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"id": "e0", "input": ["a"], "output": ["A"]}) + "\n")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps({"id": "e0", "prediction": ["A"], "replica": r}) + "\n"
+                            for r in (0, 2, 1)))
+    out = tmp_path / "lengths.csv"
+    assert run(["eval", "length-breakdown", "--gold", str(gold), "--pred", str(pred),
+                "--train", str(gold), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"compgen: error: {pred}: the length breakdown scores "
+                                       "one replica; the predictions hold replicas 0, 1, 2\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.jsonl", "pred.jsonl"]
 
 
 def test_option_errors_do_not_name_the_prediction_file(tmp_path, capsys):

@@ -301,6 +301,30 @@ def test_a_derivation_at_the_depth_bound_round_trips(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def nested_meta(depth):
+    """A meta of depth nested JSON containers (depth >= 2): dicts around a list."""
+    meta = [1]
+    for _ in range(depth - 1):
+        meta = {"k": meta, "v": 0}
+    return meta
+
+
+def test_a_meta_at_the_depth_bound_round_trips(tmp_path):
+    bound = data.MAX_SAVED_DEPTH
+    path = tmp_path / "d.jsonl"
+    examples = [data.Example("ok", ("x",), ("X",), chain(3), {"source": "scan"}),
+                data.Example("deepest", ("x",), ("X",), None, nested_meta(bound))]
+    data.save_dataset(examples, path)
+    assert data.load_dataset(path) == examples
+    path.unlink()
+    for meta in (nested_meta(bound + 1), nested_meta(990)):
+        examples[1] = data.Example("deeper", ("x",), ("X",), None, meta)
+        with pytest.raises(data.DataError, match=f"^example 'deeper' has a meta more than "
+                           f"{bound} levels deep; a saved one may have at most {bound}$"):
+            data.save_dataset(examples, path)
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_deep_traces_compare_without_recursion():
     a, b, other = chain(10_000), chain(10_000), chain(10_000, leaf="other")
     assert a is not b and a == b and not a != b

@@ -255,16 +255,23 @@ def test_incremental_divergence_matches_divergence(scan_dataset):
         expected = divergence({k: v / p.total() for k, v in p.items()},
                               {k: v / q.total() for k, v in q.items()}, alpha)
         assert abs(state.value() - expected) < 1e-9
+        # Each key's cached term is the one its counts give afresh; the
+        # running sum of the deltas keeps to their exact sum within rounding.
+        assert state.terms == [state.pow_train[c] * state.pow_test[d]
+                               for c, d in zip(state.train, state.test)]
+        assert math.isclose(math.fsum(state.terms), state.chernoff_sum, rel_tol=1e-12)
 
 
 def test_incremental_proposal_leaves_state_unchanged(scan_dataset):
     sample = _small_sample(scan_dataset)
     rows = dbca._id_rows(dbca.extract_compounds(ex.derivation) for ex in sample)
     state = dbca._Divergence(rows, range(300), range(300, 400), 0.1)
-    before = (list(state.train), list(state.test), state.chernoff_sum, state.value())
+    assert math.fsum(state.terms) == state.chernoff_sum
+    before = (list(state.train), list(state.test), list(state.terms),
+              state.chernoff_sum, state.value())
     state.propose(0, 399)
-    assert (list(state.train), list(state.test), state.chernoff_sum,
-            state.value()) == before
+    assert (list(state.train), list(state.test), list(state.terms),
+            state.chernoff_sum, state.value()) == before
 
 
 # The MCD split below, as computed before the search state became integer:
@@ -289,6 +296,25 @@ def test_mcd_output_independent_of_hash_seed():
         outputs.append(proc.stdout.strip())
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == MCD_SAMPLE_SHA256
+
+
+# A search that starts above its atom bound, so that it runs the repair
+# phase first: the split as computed before the compound side was scored
+# first outside repair.
+MCD_REPAIR_SHA256 = "c835445631c75b395cbc67e7f98ed7f86d734e29a13ed8ba19a69c4067c0db8b"
+
+
+def test_mcd_repair_phase_is_pinned(scan_dataset):
+    sample = random.Random(3).sample(scan_dataset, 400)
+    bound = 0.001
+    train_idx, test_idx = splits.random_partition(len(sample), random.Random(5), 0.8)
+    start = dbca.measure([sample[i] for i in train_idx], [sample[i] for i in test_idx])
+    assert start.atom_divergence > bound
+    result, report = dbca.build_mcd_split(sample, seed=5, iterations=300,
+                                          max_proposals=5000, max_atom_divergence=bound)
+    assert report.atom_divergence <= bound
+    text = json.dumps([list(result.train_ids), list(result.test_ids)])
+    assert hashlib.sha256(text.encode()).hexdigest() == MCD_REPAIR_SHA256
 
 
 def test_mcd_deterministic(scan_dataset):

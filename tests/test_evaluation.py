@@ -212,10 +212,22 @@ def test_length_breakdown_clause_set():
 
 def test_length_breakdown_repeated_id():
     gold = ex("g", "a", "A")
-    right, wrong = PredictionRecord("g", ("A",), 0), PredictionRecord("g", ("X",), 1)
+    right, wrong = PredictionRecord("g", ("A",), 0), PredictionRecord("g", ("X",), 0)
     for preds in ([right, wrong], [wrong, right]):
         with pytest.raises(evaluation.EvalError, match="multiple predictions for id 'g'"):
             evaluation.length_breakdown(preds, [gold], [gold])
+
+
+def test_length_breakdown_scores_one_replica():
+    golds = [ex("g", "a", "A"), ex("h", "b", "B")]
+    preds = [PredictionRecord("g", ("A",), 3), PredictionRecord("h", ("B",), 1),
+             PredictionRecord("g", ("A",), 1)]
+    for records in (preds, iter(preds), preds[:2]):
+        with pytest.raises(evaluation.PredictionError, match="^the length breakdown scores "
+                           "one replica; the predictions hold replicas 1, 3$"):
+            evaluation.length_breakdown(records, golds, golds)
+    (bucket,) = evaluation.length_breakdown(iter(preds[1:]), golds, golds)
+    assert bucket.accuracy == 1.0
 
 
 def test_divergence_curve_sorted_and_labeled():
