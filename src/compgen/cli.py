@@ -7,7 +7,7 @@ for a run with --out also `<out>.manifest.json`: its config lists every
 parsed option that is not a path, and it holds the sha256 of every input
 and output file, so results stay auditable and reproducible.  Each
 subcommand runs with the cyclic garbage collector paused (see
-_collector_paused).  The default for --seed can be overridden with the
+data.collector_paused).  The default for --seed can be overridden with the
 COMPGEN_SEED environment variable, which must then be an integer.  Bad
 input ends in an error that names the file and line, with exit code 2.
 """
@@ -15,7 +15,6 @@ input ends in an error that names the file and line, with exit code 2.
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import os
@@ -74,22 +73,6 @@ def _write_manifest(args) -> None:
     }
     Path(str(args.out) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-@contextmanager
-def _collector_paused():
-    """Run the body with the cyclic garbage collector off, then restore the
-    caller's state.  Subcommands build only acyclic data (tuples, frozen
-    dataclasses, dicts, Counters), which reference counting frees; a full
-    collection pass over the growing heap of a loaded dataset would find
-    nothing to free."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @contextmanager
@@ -329,7 +312,7 @@ def run(argv) -> int:
     --out also the manifest.  Bad input ends in exit code 2."""
     args = build_parser().parse_args(argv)
     try:
-        with _collector_paused():
+        with data.collector_paused():
             text = args.run(args)
         if args.out is None:
             sys.stdout.write(text)

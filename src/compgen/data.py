@@ -13,6 +13,7 @@ strings) and "replica" (an integer or null, default 0)."""
 from __future__ import annotations
 
 import bisect
+import gc
 import hashlib
 import io
 import json
@@ -285,6 +286,21 @@ def _undecodable(name, exc: UnicodeDecodeError, lines_before: int = 0) -> DataEr
     only once its earlier lines are read: exc.object follows lines_before."""
     line = lines_before + exc.object.count(b"\n", 0, exc.start) + 1
     return DataError(f"{name}:{line}: not valid UTF-8 at byte 0x{exc.object[exc.start]:02x}")
+
+
+@contextmanager
+def collector_paused():
+    """Run the body (or, as @collector_paused(), each call) with the cyclic
+    collector off, then restore the caller's state.  The toolkit builds only
+    acyclic data, which reference counting frees; a full collection pass
+    over the growing heap of a dataset would find nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @contextmanager

@@ -248,8 +248,8 @@ def build_mcd_split(examples: Sequence[Example],
     proposal reads the terms it replaces.  Swap positions are drawn with
     getrandbits exactly as rng.randrange draws them.  No step depends on
     hash order, so the split is a function of the arguments.
-    The final partition is measured afresh from the rows' counts, without
-    extracting atoms and compounds again.
+    The report is read from the final search state, with each Chernoff sum
+    summed afresh from the kept terms: the value of a recount of the rows.
     """
     if not 0 <= target_compound_divergence <= 1:
         raise DbcaError("target compound divergence must be in [0, 1]")
@@ -303,12 +303,13 @@ def build_mcd_split(examples: Sequence[Example],
 
     train_idx.sort()
     test_idx.sort()
-    # Recounted from the rows, so that no drift of the running sums can
-    # reach the bound check or the report.  The search state goes first,
-    # so that it and the recount are never held at once.
-    del atoms, comps
-    report = _report(atom_rows, compound_rows, train_idx, test_idx,
-                     atom_alpha, compound_alpha, len(train_idx), len(test_idx))
+    # Each Chernoff sum afresh from the kept terms, so that no drift of the
+    # running sums reaches the bound check or the report.  A term comes from
+    # its key's counts and c + d never changes: this is _report's recount.
+    for side in (atoms, comps):
+        side.chernoff_sum = math.fsum(side.terms)
+    report = DivergenceReport(atoms.value(), comps.value(), atom_alpha,
+                              compound_alpha, len(train_idx), len(test_idx))
     if report.atom_divergence > max_atom_divergence + 1e-9:
         raise InfeasibleSplitError(
             f"could not reach atom divergence <= {max_atom_divergence} "

@@ -1,3 +1,4 @@
+import gc
 import json
 import tempfile
 from pathlib import Path
@@ -8,6 +9,30 @@ from hypothesis import strategies as st
 
 from compgen import data, scan
 from oracle_dbca import nodes
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_restores_the_callers_state(enabled):
+    """The body runs with the collector off; afterwards it is on if and
+    only if it was on before, also when the body raises, and as a decorator."""
+    @data.collector_paused()
+    def state():
+        return gc.isenabled()
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with data.collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            with data.collector_paused():
+                raise KeyError("body")
+        assert gc.isenabled() is enabled
+        assert state() is False and state() is False
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_tsv_load(tmp_path):

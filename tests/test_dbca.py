@@ -317,6 +317,24 @@ def test_mcd_repair_phase_is_pinned(scan_dataset):
     assert hashlib.sha256(text.encode()).hexdigest() == MCD_REPAIR_SHA256
 
 
+@pytest.mark.parametrize("bound", [0.02, 0.001])
+def test_mcd_report_is_a_recount_of_the_rows(scan_dataset, bound):
+    """The report read from the search state equals _report's fresh count
+    of the final partition, bit for bit: for the pinned sample split and
+    for the one that runs the repair phase."""
+    sample = random.Random(3).sample(scan_dataset, 400)
+    result, report = dbca.build_mcd_split(sample, seed=5, iterations=300,
+                                          max_proposals=5000, max_atom_divergence=bound)
+    atom_rows, compound_rows = dbca._example_rows(sample)
+    index = {ex.id: i for i, ex in enumerate(sample)}
+    recount = dbca._report(atom_rows, compound_rows,
+                           [index[i] for i in result.train_ids],
+                           [index[i] for i in result.test_ids],
+                           report.atom_alpha, report.compound_alpha,
+                           len(result.train_ids), len(result.test_ids))
+    assert report == recount
+
+
 def test_mcd_deterministic(scan_dataset):
     sample = _small_sample(scan_dataset)
     a = dbca.build_mcd_split(sample, seed=5, iterations=300, max_proposals=5000)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from compgen import data, scan
@@ -76,7 +78,10 @@ def test_enumeration_count_and_consistency():
     # Golden: matches the published corpus size.
     assert len(dataset) == 20910
     assert len({ex.id for ex in dataset}) == len(dataset)
-    for ex in dataset[::97]:
+    # Equal action sequences are one tuple.
+    assert len({id(ex.output) for ex in dataset}) == len({ex.output for ex in dataset}) == 9228
+    # The recursive interpreter is the reference for the composed actions.
+    for ex in dataset:
         ast = scan.parse_command(ex.input)
         assert ast == ex.derivation
         assert scan.interpret(ast) == ex.output
@@ -86,6 +91,22 @@ def test_enumeration_deterministic():
     a = scan.enumerate_dataset()
     b = scan.enumerate_dataset()
     assert [ex.id for ex in a] == [ex.id for ex in b]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_restores_the_collector_and_leaves_no_cycles(enabled):
+    """Enumeration runs with the cyclic collector paused, which is safe
+    only because the examples hold no reference cycles."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        gc.collect()
+        dataset = scan.enumerate_dataset()
+        assert gc.isenabled() is enabled
+        del dataset
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_no_nested_conjunction():
