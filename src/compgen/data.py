@@ -20,11 +20,12 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 
 class DataError(ValueError):
@@ -138,7 +139,7 @@ class JsonFile:
         return 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DerivationTrace:
     """Tree of applied rule ids: the derivation of an example, and for SCAN
     also its command tree."""
@@ -221,20 +222,54 @@ def _interned_trace(obj, memo: dict) -> DerivationTrace:
     return node
 
 
-@dataclass(frozen=True)
+class Meta(Mapping):
+    """A read-only JSON object: the meta of an example.  It cannot change,
+    so examples share one instance of a value (EMPTY_META is the default).
+    It pickles and deep-copies, which types.MappingProxyType does not."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items=()):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __repr__(self):
+        return f"Meta({self._items!r})"
+
+    def __reduce__(self):
+        return Meta, (self._items,)
+
+
+EMPTY_META = Meta()
+
+
+@dataclass(frozen=True, slots=True)
 class Example:
+    """One dataset record.  A meta that is not a Meta is copied into one."""
+
     id: str
     input: tuple[str, ...]
     output: tuple[str, ...]
     derivation: Optional[DerivationTrace] = None
-    meta: Mapping[str, object] = field(default_factory=dict)
+    # A factory, since dataclasses refuse an unhashable default such as a Meta.
+    meta: Mapping[str, object] = field(default_factory=lambda: EMPTY_META)
 
     def __post_init__(self):
         if not self.input or not self.output:
             raise DataError(f"example {self.id!r} has empty input or output")
+        if type(self.meta) is not Meta:
+            object.__setattr__(self, "meta", Meta(self.meta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     example_id: str
     tokens: tuple[str, ...]
@@ -324,10 +359,12 @@ def read_lines(path, parse, what: str) -> list:
     """parse(line) for each line not whitespace only of the file at path
     (stdin when path is None).  A byte that is not UTF-8, or a ValueError,
     KeyError (a missing key), TypeError or RecursionError from parse, is a
-    DataError naming the file and line; no such line is one saying "no <what>"."""
+    DataError naming the file and line; no such line is one saying "no <what>".
+    The collector is paused while the lines are read: parse builds no cycles."""
     name = "<stdin>" if path is None else path
     items, lineno = [], 0
-    with _stdin_text() if path is None else open(path, encoding="utf-8") as fh:
+    with (collector_paused(),
+          _stdin_text() if path is None else open(path, encoding="utf-8") as fh):
         try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.isspace():
@@ -347,10 +384,13 @@ def load_dataset(path) -> list[Example]:
     Missing ids are assigned from a content hash; duplicate ids are an
     error.  Tokens and rules are interned (sys.intern), so equal ones are
     one string within a load and across loads, and equal derivation
-    subtrees of one load are one shared object."""
+    subtrees of one load are one shared object.  So are the metas of one
+    load whose values are all strings and whose items are equal in order:
+    equal values of another type may save differently (1, 1.0 and true)."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     seen = set()
     traces: dict = {}  # the memo of _interned_trace, for this load only
+    metas: dict = {}  # tuple of items -> the Meta, for all-string metas of this load
 
     def example(line):
         if tsv:
@@ -358,7 +398,7 @@ def load_dataset(path) -> list[Example]:
             if len(fields) != 2:
                 raise ValueError("expected input<TAB>output")
             inp, out = (tuple(map(intern, f.split())) for f in fields)
-            ex_id, trace, meta = None, None, {}
+            ex_id, trace, meta = None, None, EMPTY_META
         else:
             obj = _json_object(line)
             inp, out = _tokens(obj, "input"), _tokens(obj, "output")
@@ -371,9 +411,18 @@ def load_dataset(path) -> list[Example]:
                 except (ValueError, TypeError):
                     raise _mistyped(_EXAMPLE_LINE, "derivation") from None
             if meta is None:
-                meta = {}
+                meta = EMPTY_META
             elif type(meta) is not dict:
                 raise _mistyped(_EXAMPLE_LINE, "meta")
+            else:  # a meta not shared here is copied into its own Meta by Example
+                key = tuple(meta.items())
+                try:
+                    meta = metas[key]  # only an all-string key is stored, so a hit is one
+                except KeyError:
+                    if all(type(v) is str for v in meta.values()):
+                        meta = metas[key] = Meta(meta)
+                except TypeError:  # an unhashable value: a list or an object
+                    pass
         ex = Example(ex_id or content_id(inp, out), inp, out, trace, meta)
         if ex.id in seen:
             raise DataError(f"duplicate id {ex.id!r}")
@@ -404,8 +453,9 @@ def save_dataset(examples: Iterable[Example], path) -> None:
                     if depth > MAX_SAVED_DEPTH:
                         raise DataError(f"example {ex.id!r} has a derivation {depth} levels "
                                         f"deep; a saved one may have at most {MAX_SAVED_DEPTH}")
-                if ex.meta:
-                    obj["meta"] = meta = dict(ex.meta)
+                meta = ex.meta._items  # the encoder only reads it
+                if meta:
+                    obj["meta"] = meta
                     if _nested_deeper_than(meta, MAX_SAVED_DEPTH):
                         raise DataError(f"example {ex.id!r} has a meta more than "
                                         f"{MAX_SAVED_DEPTH} levels deep; a saved one "

@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .data import DerivationTrace, Example, collector_paused, content_id
+from .data import DerivationTrace, Example, Meta, collector_paused, content_id
 
 ROOT_RULE = "root"
+SCAN_META = Meta({"source": "scan"})  # the meta of every enumerated example
 
 # rule id -> (surface template, action template).  An integer in a template
 # stands for the tokens (surface) or actions (action) of that child.
@@ -154,8 +155,9 @@ def iter_commands() -> Iterator[DerivationTrace]:
 def enumerate_dataset() -> list[Example]:
     """Exhaustively instantiate the grammar into Examples with traces, with
     the cyclic collector paused: the examples are acyclic.  Equal action
-    sequences (9,228 distinct of 20,910) are one tuple, to save memory."""
+    sequences (9,228 distinct of 20,910) are one tuple, and every example
+    has the one SCAN_META, to save memory."""
     outputs = {}
     return [Example(id=content_id(inp, out), input=inp, output=outputs.setdefault(out, out),
-                    derivation=tree, meta={"source": "scan"})
+                    derivation=tree, meta=SCAN_META)
             for tree, inp, out in _derive(ROOT_RULE)]

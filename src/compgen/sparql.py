@@ -41,7 +41,7 @@ class IrDecodeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparqlQuery:
     """Flat clause-set form.  triples keep first-occurrence order but carry
     set semantics; header holds the verbatim tokens before the WHERE body
@@ -53,7 +53,7 @@ class SparqlQuery:
     constraints: tuple[tuple[str, ...], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrQuery:
     """Grouped form: (subject, ((relation, (objects...)), ...)) per group.
     Under f1 every relation entry has exactly one object."""

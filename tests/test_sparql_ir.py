@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import warnings
 
@@ -278,3 +280,14 @@ def test_full_query_ir_roundtrip():
         ir_text = sparql.serialize_ir(sparql.ir_encode(q, level))
         assert ir_text.startswith("SELECT DISTINCT ?x0 WHERE {")
         assert sparql.clause_set_equal(sparql.ir_decode(ir_text, level), q)
+
+
+def test_query_records_pickle_and_deep_copy_equal():
+    query = sparql.parse_sparql(
+        "SELECT DISTINCT ?x0 WHERE { ?x0 a M1 . ?x0 b M2 . FILTER ( ?x0 != M2 ) }")
+    for record in (query, *(sparql.ir_encode(query, level) for level in sparql.IR_LEVELS)):
+        assert not hasattr(record, "__dict__")
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*copies, copy.deepcopy(record)):
+            assert twin == record and type(twin) is type(record)
