@@ -383,14 +383,16 @@ def load_dataset(path) -> list[Example]:
     """Load Examples from a tsv file (suffix .tsv or .txt) or a jsonl file.
     Missing ids are assigned from a content hash; duplicate ids are an
     error.  Tokens and rules are interned (sys.intern), so equal ones are
-    one string within a load and across loads, and equal derivation
-    subtrees of one load are one shared object.  So are the metas of one
-    load whose values are all strings and whose items are equal in order:
-    equal values of another type may save differently (1, 1.0 and true)."""
+    one string within a load and across loads, and equal outputs and equal
+    derivation subtrees of one load are one shared object.  So are the
+    metas of one load whose values are all strings and whose items are
+    equal in order: equal values of another type may save differently (1,
+    1.0 and true)."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     seen = set()
     traces: dict = {}  # the memo of _interned_trace, for this load only
     metas: dict = {}  # tuple of items -> the Meta, for all-string metas of this load
+    outputs: dict = {}  # output tuple -> the first equal one of this load
 
     def example(line):
         if tsv:
@@ -423,6 +425,7 @@ def load_dataset(path) -> list[Example]:
                         meta = metas[key] = Meta(meta)
                 except TypeError:  # an unhashable value: a list or an object
                     pass
+        out = outputs.setdefault(out, out)
         ex = Example(ex_id or content_id(inp, out), inp, out, trace, meta)
         if ex.id in seen:
             raise DataError(f"duplicate id {ex.id!r}")

@@ -79,10 +79,13 @@ def _parsed(tokens: Sequence[str]):
         return None
 
 
-def _clause_set_match(prediction: Sequence[str], gold_query) -> bool:
-    """gold_query is the parsed gold, or None when the gold does not parse."""
+def _clause_set_match(prediction: Sequence[str], gold: Sequence[str], gold_query) -> bool:
+    """gold_query is the parsed gold, or None when the gold does not parse.
+    A prediction equal to a gold that parses matches without a parse."""
     if gold_query is None:
         return False
+    if prediction == gold:
+        return True
     pred_query = _parsed(prediction)
     return pred_query is not None and clause_set_equal(pred_query, gold_query)
 
@@ -116,7 +119,7 @@ def _matches(replicas: Iterable[Iterable[PredictionRecord]],
         if found:
             gold_query = _parsed(gold)
             for prediction, out in found:
-                out[ex_id] = _clause_set_match(prediction, gold_query)
+                out[ex_id] = _clause_set_match(prediction, gold, gold_query)
     return matched
 
 

@@ -28,6 +28,7 @@ clause_set_equal compares the projected terms as well as the clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 from typing import Iterable, Sequence
 
 IR_LEVELS = ("f1", "f2", "f3")
@@ -69,22 +70,27 @@ def _tokenize(text: str) -> list[str]:
     # Braces and commas become standalone tokens; dots are clause separators
     # only when they stand alone (relation paths contain internal dots).
     for ch in "{},":
-        text = text.replace(ch, f" {ch} ")
+        if ch in text:
+            text = text.replace(ch, f" {ch} ")
     return text.split()
 
 
 # The empty string never comes out of _tokenize: it marks the end of input.
 _RESERVED = frozenset(("{", "}", ".", ",", ""))
 
+# Tokens that a WHERE body may not hold.
+_NOT_IN_BODY = frozenset(("{", "}", ","))
+
 # Keywords of the header forms; none of them, and no IR punctuation, can be
 # a projected term of SELECT DISTINCT.
 _HEADER_WORDS = frozenset(("SELECT", "DISTINCT", "COUNT(*)", "ASK", "WHERE"))
 
 
-def _parse_header(tokens: list[str]) -> tuple[str, tuple[str, ...], list[str]]:
-    """Split off the header; returns (form, header, body tokens).  The
-    header is one of `ASK WHERE`, `SELECT count(*) WHERE` and `SELECT
-    DISTINCT term... WHERE` with at least one term, keywords in any case."""
+def _parse_header(tokens: Sequence[str]) -> tuple[str, tuple[str, ...], Sequence[str]]:
+    """Split off the header; returns (form, header, body tokens), the body
+    a slice of tokens, so a list for a list.  The header is one of `ASK
+    WHERE`, `SELECT count(*) WHERE` and `SELECT DISTINCT term... WHERE`
+    with at least one term, keywords in any case."""
     if "{" not in tokens:
         return "bare", (), tokens
     open_idx = tokens.index("{")
@@ -109,44 +115,40 @@ def _parse_header(tokens: list[str]) -> tuple[str, tuple[str, ...], list[str]]:
     return form, tuple(header), body
 
 
-def _split_clauses(body: list[str]) -> list[list[str]]:
-    clauses, current = [], []
-    for tok in body:
-        if tok == ".":
-            clauses.append(current)
-            current = []
-        else:
-            current.append(tok)
-    clauses.append(current)
+def _split_clauses(body: tuple[str, ...]) -> list[tuple[str, ...]]:
+    clauses, start = [], 0
+    for _ in range(body.count(".")):
+        end = body.index(".", start)
+        clauses.append(body[start:end])
+        start = end + 1
+    clauses.append(body[start:])
     return clauses
 
 
 def parse_sparql(text: str) -> SparqlQuery:
     """Parse a query or a bare WHERE body into its clause set; a repeated
-    triple is dropped, as a set holds it once."""
-    tokens = _tokenize(text)
+    triple is dropped, as a set holds it once.  Tokens are interned
+    (sys.intern), so parsed queries share one copy of each relation, entity
+    and variable, as loaded datasets do."""
+    tokens = tuple(map(intern, _tokenize(text)))
     if not tokens:
         raise SparqlParseError("empty query")
     form, header, body = _parse_header(tokens)
     # No nested braces and no object lists: a comma in a triple or in a
     # FILTER would not survive the grouping of the IR.
-    if "{" in body or "}" in body or "," in body:
+    if not _NOT_IN_BODY.isdisjoint(body):
         raise SparqlParseError("unsupported construct: nested braces or ','")
     if not body:
         raise SparqlParseError("empty WHERE body")
-    triples: list[tuple[str, str, str]] = []
-    seen = set()
+    triples: dict[tuple[str, ...], None] = {}  # an ordered set: keeps the first of equal ones
     constraints = []
     for clause in _split_clauses(body):
         if not clause:
             raise SparqlParseError("empty clause (stray '.')")
         if clause[0].upper() == "FILTER":
-            constraints.append(tuple(clause))
+            constraints.append(clause)
         elif len(clause) == 3:
-            triple = tuple(clause)
-            if triple not in seen:
-                seen.add(triple)
-                triples.append(triple)
+            triples[clause] = None
         else:
             raise SparqlParseError(
                 f"unsupported clause {' '.join(clause)!r} (expected a triple or FILTER)")
@@ -227,8 +229,8 @@ def serialize_ir(ir: IrQuery) -> str:
 
 
 def _word(tokens: list[str], i: int, what: str,
-          scope: Sequence[str] = (), ordered: bool = False) -> str:
-    """tokens[i], which must be a word new to scope: not among its words,
+          scope: Sequence[str] = (), ordered: bool = False) -> None:
+    """Raise unless tokens[i] is a word new to scope: not among its words,
     or, when ordered (f3), after the last of them."""
     tok = tokens[i]
     if tok in _RESERVED:
@@ -236,7 +238,6 @@ def _word(tokens: list[str], i: int, what: str,
     if scope and (tok <= scope[-1] if ordered else tok in scope):
         raise IrDecodeError(f"token {i}: {what} {tok!r} " + (
             f"not after {scope[-1]!r}" if ordered else "repeated"))
-    return tok
 
 
 def _expect(tokens: list[str], i: int, expected: str) -> None:
@@ -269,28 +270,39 @@ def ir_decode(ir_text: str, level: str) -> SparqlQuery:
     subjects: list[str] = []
     triples = []
     i = 0
+    # Each word and bracket is checked inline; _word and _expect are called
+    # only when a check fails, and raise with the message.
     while tokens[i] not in (".", ""):
-        s = _word(tokens, i, "subject", subjects, ordered)
+        s = tokens[i]
+        if s in _RESERVED or subjects and (s <= subjects[-1] if ordered else s in subjects):
+            _word(tokens, i, "subject", subjects, ordered)
         # A triple whose subject is FILTER would re-parse as a constraint.
         if s.upper() == "FILTER":
             raise IrDecodeError(f"token {i}: subject {s!r} would read as a constraint")
         subjects.append(s)
-        _expect(tokens, i + 1, "{")
+        if tokens[i + 1] != "{":
+            _expect(tokens, i + 1, "{")
         i += 2
         # f1 entries are `r o`, and a relation may recur with new objects;
         # f2/f3 entries are `r { o , ... }`, one per relation.
         relations: list[str] = []
         objects_of: dict[str, list[str]] = {}
         while True:
-            r = _word(tokens, i, "relation", () if f1 else relations, ordered)
+            r = tokens[i]
+            if r in _RESERVED or not f1 and relations and (
+                    r <= relations[-1] if ordered else r in relations):
+                _word(tokens, i, "relation", () if f1 else relations, ordered)
             relations.append(r)
             objects = objects_of.setdefault(r, [])
             i += 1
             if not f1:
-                _expect(tokens, i, "{")
+                if tokens[i] != "{":
+                    _expect(tokens, i, "{")
                 i += 1
             while True:
-                o = _word(tokens, i, "object", objects, ordered)
+                o = tokens[i]
+                if o in _RESERVED or objects and (o <= objects[-1] if ordered else o in objects):
+                    _word(tokens, i, "object", objects, ordered)
                 objects.append(o)
                 triples.append((s, r, o))
                 i += 1
@@ -298,12 +310,14 @@ def ir_decode(ir_text: str, level: str) -> SparqlQuery:
                     break
                 i += 1
             if not f1:
-                _expect(tokens, i, "}")
+                if tokens[i] != "}":
+                    _expect(tokens, i, "}")
                 i += 1
             if tokens[i] != ".":
                 break
             i += 1
-        _expect(tokens, i, "}")
+        if tokens[i] != "}":
+            _expect(tokens, i, "}")
         i += 1
     if not subjects:
         raise IrDecodeError("no clause groups")

@@ -117,6 +117,27 @@ def test_clause_set_replicas_parse_each_gold_once(monkeypatch):
     assert sorted(t for t in parsed if t in gold_texts) == sorted(gold_texts)
 
 
+def test_clause_set_prediction_equal_to_its_gold_is_not_parsed(monkeypatch):
+    golds = {"bad": tuple("SELECT WHERE { M0 a M1 }".split()),
+             "ok": tuple("ASK WHERE { M0 a M1 . M2 b M3 }".split())}
+    preds = [PredictionRecord(i, gold) for i, gold in golds.items()]
+    preds.append(PredictionRecord("ok", tuple("ASK WHERE { M2 b M3 . M0 a M1 }".split()), 1))
+    parsed = []
+
+    def parse_sparql(text):
+        parsed.append(text)
+        return sparql.parse_sparql(text)
+    monkeypatch.setattr(evaluation, "parse_sparql", parse_sparql)
+    # A gold that does not parse matches nothing, not even itself; a
+    # prediction with its clauses permuted still matches.
+    assert evaluation.score_replicas(preds, golds, clause_set=True) == {0: 0.5, 1: 0.5}
+    assert [evaluation.score_run([p], {p.example_id: golds[p.example_id]}, clause_set=True)
+            for p in preds] == [0.0, 1.0, 1.0]
+    # The gold once in each call that scores it; the equal prediction never.
+    assert parsed.count(" ".join(golds["ok"])) == 3
+    assert parsed.count(" ".join(preds[-1].tokens)) == 2
+
+
 def test_aggregate_constant_replicas():
     agg = evaluation.aggregate_replicas([0.5, 0.5, 0.5], "ci95")
     assert agg.mean == 0.5 and agg.variance == 0.0

@@ -153,13 +153,19 @@ def _pipeline():
              "--out", f"{level}_decoded.txt")
 
 
+def _changed(directory):
+    """The names of the files of the golden table, and of the files in
+    directory, whose hashes differ: missing and extra files included."""
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted(Path(directory).iterdir())}
+    return sorted(name for name in hashes.keys() | GOLDEN.keys()
+                  if hashes.get(name) != GOLDEN.get(name))
+
+
 def test_pipeline_outputs_match_the_golden_table(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _pipeline()
-    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-              for p in sorted(tmp_path.iterdir())}
-    changed = sorted(name for name in hashes.keys() | GOLDEN.keys()
-                     if hashes.get(name) != GOLDEN.get(name))
+    changed = _changed(tmp_path)
     assert not changed, f"files that differ from the golden table: {changed}"
 
 
@@ -241,3 +247,26 @@ GOLDEN = {
     "split_template.json": "d66d7aa3e5c0fe540b132fa83abff8a35253c43fbd060fab4bc1ca176894bed2",
     "split_template.json.manifest.json": "7e5f9659bb5948f8e730f2dc5cb3b7b87e9d2af33b91b378290681a8e70b82fb",
 }
+
+
+if __name__ == "__main__":
+    # The gate without pytest, for any interpreter: run from the repository
+    # root as `PYTHONPATH=src python tests/test_golden.py`; it prints each
+    # file whose hash differs and exits 1 if there is one.
+    import os
+    import sys
+    import tempfile
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            _pipeline()
+            changed = _changed(work)
+        finally:
+            os.chdir(home)
+    for name in changed:
+        print(f"differs: {name}")
+    print(f"python {sys.version.split()[0]}: {len(changed)} files differ "
+          f"from the golden table of {len(GOLDEN)}")
+    sys.exit(1 if changed else 0)

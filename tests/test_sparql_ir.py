@@ -1,6 +1,9 @@
 import copy
+import gc
 import pickle
 import random
+import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -71,6 +74,67 @@ def test_parse_errors():
         sparql.parse_sparql("INSERT WHERE { M0 a M1 }")
     with pytest.raises(sparql.SparqlParseError):
         sparql.parse_sparql("")
+
+
+def test_parsed_tokens_are_interned():
+    pieces = ["SELECT DISTINCT ?x0 WHERE { ?x0 ns:film.film.", "directed_by M1 . ",
+              "FILTER ( ?x0 != M1 ) }"]
+    first, second = "".join(pieces), "".join(pieces)
+    assert first is not second
+    a, b = sparql.parse_sparql(first), sparql.parse_sparql(second)
+    tokens_a = [*a.header, *(t for triple in a.triples for t in triple), *a.constraints[0]]
+    tokens_b = [*b.header, *(t for triple in b.triples for t in triple), *b.constraints[0]]
+    assert tokens_a == tokens_b
+    assert all(x is y for x, y in zip(tokens_a, tokens_b))
+    assert all(tok is sys.intern(tok) for tok in tokens_a)
+
+
+CFQ_VARIABLES = ("?x0", "?x1", "?x2", "?x3")
+CFQ_ENTITIES = tuple(f"M{k}" for k in range(10))
+CFQ_RELATIONS = ("a", *(f"ns:{path}" for path in (
+    "film.film.directed_by", "film.film.edited_by", "film.film.written_by", "film.actor.film",
+    "film.film.produced_by", "people.person.gender", "people.person.spouse_s",
+    "people.person.nationality", "organization.organization.founders",
+    "film.cinematographer.film")))
+CFQ_HEADERS = ("SELECT DISTINCT ?x0 WHERE", "SELECT count(*) WHERE", "ASK WHERE", "")
+
+
+def cfq_like_texts(n, seed=22):
+    """n seeded queries shaped like CFQ's: 2-14 distinct triples, mostly
+    about variables, in all four forms, about a third with a FILTER."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(n):
+        triples = {}
+        for _ in range(rng.randint(2, 14)):
+            s = rng.choice(CFQ_VARIABLES) if rng.random() < 0.7 else rng.choice(CFQ_ENTITIES)
+            triples[s, rng.choice(CFQ_RELATIONS), rng.choice(CFQ_VARIABLES + CFQ_ENTITIES)] = None
+        clauses = [" ".join(t) for t in triples]
+        if rng.random() < 0.3:
+            clauses.append(f"FILTER ( {rng.choice(CFQ_VARIABLES)} != {rng.choice(CFQ_ENTITIES)} )")
+        header, body = rng.choice(CFQ_HEADERS), " . ".join(clauses)
+        texts.append(f"{header} {{ {body} }}" if header else body)
+    return texts
+
+
+# Bytes that one parsed CFQ-like query keeps, measured by tracemalloc with
+# its words already interned, as a loaded gold's are: about 780, and 2,340
+# when each query held its own copy of every token.
+BYTES_PER_QUERY = 1200
+
+
+def test_bytes_per_parsed_query():
+    texts = cfq_like_texts(2000)
+    # Held, as a loaded gold file holds its words, so that they stay interned.
+    vocabulary = {sys.intern(tok) for text in texts for tok in text.split()}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = [sparql.parse_sparql(text) for text in texts]
+        size = tracemalloc.get_traced_memory()[0] / len(parsed)
+    finally:
+        tracemalloc.stop()
+    assert vocabulary and size < BYTES_PER_QUERY
 
 
 def test_constraints_preserved():
@@ -172,6 +236,148 @@ def test_decode_rejects_or_reparses_to_same_clause_set(case):
 def test_decode_rejects_what_the_encoder_cannot_write(level, bad):
     with pytest.raises(sparql.IrDecodeError):
         sparql.ir_decode(bad, level)
+
+
+# The outcome of ir_decode at f1, f2 and f3, and of parse_sparql, pinned
+# message for message: an error's text, or "= " and the decoded query.
+DECODE_MESSAGES = [
+    ('',
+     ('empty input',
+      'empty input',
+      'empty input')),
+    ('M0 { directed { M2 }',
+     ("token 3: expected object, got '{'",
+      "token 6: expected '}', got 'end of input'",
+      "token 6: expected '}', got 'end of input'")),
+    ('M0 { directed }',
+     ("token 3: expected object, got '}'",
+      "token 3: expected '{', got '}'",
+      "token 3: expected '{', got '}'")),
+    ('M0 directed M2 }',
+     ("token 1: expected '{', got 'directed'",
+      "token 1: expected '{', got 'directed'",
+      "token 1: expected '{', got 'directed'")),
+    ('M0 { }',
+     ("token 2: expected relation, got '}'",
+      "token 2: expected relation, got '}'",
+      "token 2: expected relation, got '}'")),
+    ('{ directed M2 }',
+     ("token 0: expected subject, got '{'",
+      "token 0: expected subject, got '{'",
+      "token 0: expected subject, got '{'")),
+    ('M1 { b { x } } M0 { a { y } }',
+     ("token 3: expected object, got '{'",
+      '= M1 b x . M0 a y',
+      "token 7: subject 'M0' not after 'M1'")),
+    ('M0 { a M1 } M0 { b M2 }',
+     ("token 5: subject 'M0' repeated",
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('M0 { a { M1 , M1 } }',
+     ("token 3: expected object, got '{'",
+      "token 6: object 'M1' repeated",
+      "token 6: object 'M1' not after 'M1'")),
+    ('M0 { a { M1 } . a { M2 } }',
+     ("token 3: expected object, got '{'",
+      "token 7: relation 'a' repeated",
+      "token 7: relation 'a' not after 'a'")),
+    ('M0 { a M1 . a M1 }',
+     ("token 6: object 'M1' repeated",
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('M0 { b { M2 , M1 } }',
+     ("token 3: expected object, got '{'",
+      '= M0 b M2 . M0 b M1',
+      "token 6: object 'M1' not after 'M2'")),
+    ('M0 { a M1 . b M2 . a M1 }',
+     ("token 9: object 'M1' repeated",
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('M0 { b { M1 } . a { M2 } }',
+     ("token 3: expected object, got '{'",
+      '= M0 b M1 . M0 a M2',
+      "token 7: relation 'a' not after 'b'")),
+    ('M0 { a M1 } . ?x0 a M2',
+     ('token 6: expected a FILTER clause',
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('M0 { a M1 } . FILTER ( M0 , M1 )',
+     ("token 9: expected 'end of input', got ','",
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('FILTER { a b }',
+     ("token 0: subject 'FILTER' would read as a constraint",
+      "token 0: subject 'FILTER' would read as a constraint",
+      "token 0: subject 'FILTER' would read as a constraint")),
+    ('M0 { a M1 } filter { a { b } }',
+     ("token 5: subject 'filter' would read as a constraint",
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('SELECT DISTINCT WHERE { M0 { a { M1 } } }',
+     ("unsupported query header 'SELECT DISTINCT WHERE'",
+      "unsupported query header 'SELECT DISTINCT WHERE'",
+      "unsupported query header 'SELECT DISTINCT WHERE'")),
+    ('ASK WHERE { M0 { a { M1 } }',
+     ("token 3: expected object, got '{'",
+      "token 6: expected '}', got 'end of input'",
+      "token 6: expected '}', got 'end of input'")),
+    ('M0 { a M1 } extra',
+     ("token 6: expected '{', got 'end of input'",
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('. M0 { a M1 }',
+     ('no clause groups',
+      'no clause groups',
+      'no clause groups')),
+    ('M0 { a , M1 }',
+     ("token 3: expected object, got ','",
+      "token 3: expected '{', got ','",
+      "token 3: expected '{', got ','")),
+    ('M0 { a { M1 , } }',
+     ("token 3: expected object, got '{'",
+      "token 6: expected object, got '}'",
+      "token 6: expected object, got '}'")),
+    ('M0 { a M1 } .',
+     ('token 6: expected a FILTER clause',
+      "token 3: expected '{', got 'M1'",
+      "token 3: expected '{', got 'M1'")),
+    ('M0 { a { M1 } } }',
+     ("token 3: expected object, got '{'",
+      "token 7: expected subject, got '}'",
+      "token 7: expected subject, got '}'")),
+]
+PARSE_MESSAGES = [
+    ('', 'empty query'),
+    ('SELECT DISTINCT ?x0 WHERE { }', 'empty WHERE body'),
+    ('M0 a M1 extra . M0 b M1',
+     "unsupported clause 'M0 a M1 extra' (expected a triple or FILTER)"),
+    ('INSERT WHERE { M0 a M1 }', "unsupported query header 'INSERT WHERE'"),
+    ('M0 a M1 . . M0 b M1', "empty clause (stray '.')"),
+    ('ASK WHERE { M0 a M1', "expected trailing '}'"),
+    ('{ M0 a M1 }', "expected WHERE before '{'"),
+    ('SELECT DISTINCT , WHERE { M0 a M1 }', "',' cannot be a projected term"),
+    ('M0 a M1 . FILTER ( M0 , M1 )', "unsupported construct: nested braces or ','"),
+    ('FILTER ( M0 != M1 )', 'query has no triples'),
+    ('ASK WHERE { M0 { a M1 } }', "unsupported construct: nested braces or ','"),
+    ('M0 a M1 .', "empty clause (stray '.')"),
+]
+
+
+@pytest.mark.parametrize("text,outcomes", DECODE_MESSAGES)
+def test_decode_messages_are_pinned(text, outcomes):
+    for level, expected in zip(sparql.IR_LEVELS, outcomes):
+        try:
+            outcome = "= " + sparql.serialize_sparql(sparql.ir_decode(text, level))
+        except sparql.IrDecodeError as exc:
+            outcome = str(exc)
+        assert outcome == expected, level
+
+
+@pytest.mark.parametrize("text,message", PARSE_MESSAGES)
+def test_parse_messages_are_pinned(text, message):
+    with pytest.raises(sparql.SparqlParseError) as info:
+        sparql.parse_sparql(text)
+    assert str(info.value) == message
 
 
 QUERY_VOCAB = IR_VOCAB + ["select", "ask", "where"]
