@@ -119,7 +119,7 @@ def _ir_decode(args):
 
 def _prep_cgps_prefix(args):
     dataset = data.load_dataset(args.infile)
-    token_map = (data.SCAN_TOKEN_MAP if args.token_map == _BUILTIN_TOKEN_MAP else
+    token_map = (scan.TOKEN_MAP if args.token_map == _BUILTIN_TOKEN_MAP else
                  data.load_token_map(args.token_map) if args.token_map else None)
     if token_map is None and not args.identity:
         raise data.DataError("need --token-map and/or --identity")

@@ -502,18 +502,6 @@ def save_predictions(records: Iterable[PredictionRecord], path) -> None:
             fh.write(_ENCODER.encode(obj) + "\n")
 
 
-# Default token map for SCAN: command words that map directly to actions.
-SCAN_TOKEN_MAP: dict[str, tuple[str, ...]] = {
-    "jump": ("JUMP",),
-    "walk": ("WALK",),
-    "run": ("RUN",),
-    "look": ("LOOK",),
-    "left": ("LTURN",),
-    "right": ("RTURN",),
-    "turn": ("LTURN", "RTURN"),
-}
-
-
 def load_token_map(path) -> dict[str, tuple[str, ...]]:
     """A JSON object mapping input tokens to lists of output tokens."""
     doc = JsonFile(path)

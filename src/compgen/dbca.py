@@ -253,6 +253,10 @@ def build_mcd_split(examples: Sequence[Example],
     """
     if not 0 <= target_compound_divergence <= 1:
         raise DbcaError("target compound divergence must be in [0, 1]")
+    if not 0 <= max_atom_divergence <= 1:
+        raise DbcaError(f"max atom divergence must be in [0, 1], got {max_atom_divergence}")
+    if iterations < 0:
+        raise DbcaError(f"iterations must be >= 0, got {iterations}")
     _check_args(examples, atom_alpha, compound_alpha)
     rng = random.Random(seed)
     train_idx, test_idx = random_partition(len(examples), rng, train_fraction)

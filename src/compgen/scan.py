@@ -1,7 +1,8 @@
 """SCAN command grammar: parsing, interpretation, and exhaustive enumeration.
 
 Every rule is written once, in ``RULES``; ``GRAMMAR`` says which rules build
-each category and fixes the canonical enumeration order.  The categories are
+each category and fixes the canonical enumeration order.  The CGPS token map
+and the holdout primitives are read from the leaf rules.  The categories are
 C (command), S (conjunct), V (verb phrase), W (the verb slot under
 opposite/around) and U (primitive).
 
@@ -61,6 +62,16 @@ GRAMMAR = {
 PRIMITIVES = tuple(RULES[rule][0][0] for rule in GRAMMAR["U"][0][1])
 VOCABULARY = frozenset(word for surface, _ in RULES.values()
                        for word in surface if isinstance(word, str))
+# The leaf rules, (surface, actions) of each rule with no child slot in its surface.
+_LEAVES = [(surface, actions) for surface, actions in RULES.values()
+           if all(isinstance(word, str) for word in surface)]
+# The CGPS token map: each word of a leaf rule -> every action of the leaf
+# rules that contain it.
+TOKEN_MAP = {word: tuple(dict.fromkeys(action for surface, actions in _LEAVES
+                                       if word in surface for action in actions))
+             for surface, _ in _LEAVES for word in surface}
+# The phrases a primitive holdout may hold out: each leaf that writes an action.
+HOLDOUT_PRIMITIVES = tuple(" ".join(surface) for surface, actions in _LEAVES if actions)
 
 
 class ScanParseError(ValueError):
@@ -144,11 +155,6 @@ def _parse_error(tokens: tuple[str, ...]) -> ScanParseError:
         return ScanParseError(f"{what} {word!r}", i)
     return ScanParseError("unexpected end of input" if tokens else "empty command",
                           len(tokens))
-
-
-def iter_commands() -> Iterator[DerivationTrace]:
-    """All grammatical commands, once each, in canonical order."""
-    yield from (tree for tree, _, _ in _derive(ROOT_RULE))
 
 
 @collector_paused()

@@ -10,14 +10,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .data import Example, JsonFile
-from .scan import PRIMITIVES, ScanParseError, parse_command
+from .scan import HOLDOUT_PRIMITIVES, PRIMITIVES, ScanParseError, parse_command
 
 
 class SplitError(ValueError):
     pass
-
-
-HOLDOUT_PRIMITIVES = PRIMITIVES + ("turn left", "turn right")
 
 
 @dataclass(frozen=True)
@@ -98,19 +95,20 @@ def _holdout(dataset: Sequence[Example], spec: SplitSpec, held_out) -> SplitResu
     return _result(spec, train, test)
 
 
-def _contains_any(phrases: list) -> Callable[[Sequence[str]], bool]:
-    """A test whether tokens hold one of phrases (tuples of tokens without
-    spaces) as a contiguous run.  It looks for each phrase, padded with
-    spaces, in the tokens joined by spaces, which is exact while no token
-    holds a space; tokens that do are compared window by window."""
-    padded = [f" {' '.join(phrase)} " for phrase in phrases]
+def _contains_any(phrases: list) -> Callable[[tuple[str, ...]], bool]:
+    """A test whether tokens hold one of phrases (non-empty tuples of
+    tokens) as a contiguous run: at each position whose token starts a
+    phrase, the slice there is compared with that phrase."""
+    starting: dict[str, list] = {}
+    for phrase in phrases:
+        starting.setdefault(phrase[0], []).append(phrase)
 
-    def contains(tokens: Sequence[str]) -> bool:
-        text = f" {' '.join(tokens)} "
-        if text.count(" ") == len(tokens) + 1:
-            return any(p in text for p in padded)
-        return any(tuple(tokens[i:i + len(phrase)]) == phrase for phrase in phrases
-                   for i in range(len(tokens) - len(phrase) + 1))
+    def contains(tokens: tuple[str, ...]) -> bool:
+        for i, token in enumerate(tokens):
+            for phrase in starting.get(token, ()):
+                if tokens[i:i + len(phrase)] == phrase:
+                    return True
+        return False
     return contains
 
 

@@ -1,18 +1,24 @@
 import argparse
+import contextlib
 import dataclasses
 import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compgen import cli, data, dbca, evaluation, scan, splits
 from compgen.cli import build_parser, run
+from test_scan import SCAN_TOKEN_MAP
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +211,26 @@ def test_prep_cgps_prefix(tmp_path):
     assert ex.input[0] == "<p0>" and ex.output == ("SELECT", "M0")
 
 
+@pytest.mark.parametrize("global_length", [[], ["--global-length"]])
+def test_builtin_token_map_writes_what_the_literal_map_writes(global_length, scan_dataset,
+                                                              tmp_path):
+    # Commands paired with the actions of other commands, so that most
+    # examples get a prefix and each map's reach shows in the bytes.
+    pairs = zip(scan_dataset[::97], scan_dataset[40::97])
+    infile = tmp_path / "mixed.tsv"
+    infile.write_text("".join(f"{' '.join(a.input)}\t{' '.join(b.output)}\n" for a, b in pairs))
+    literal = tmp_path / "scan_map.json"
+    literal.write_text(json.dumps(SCAN_TOKEN_MAP))
+    outputs = {}
+    for token_map in ("scan", str(literal)):
+        out = tmp_path / f"prefixed_{len(outputs)}.jsonl"
+        assert run(["prep", "cgps-prefix", "--in", str(infile), "--token-map", token_map,
+                    "--out", str(out)] + global_length) == 0
+        outputs[token_map] = out.read_bytes()
+    assert outputs["scan"] == outputs[str(literal)]
+    assert any(ex.input[0] == "<p0>" for ex in data.load_dataset(tmp_path / "prefixed_0.jsonl"))
+
+
 def test_eval_score(tmp_path):
     gold = tmp_path / "gold.jsonl"
     gold.write_text(
@@ -297,6 +323,32 @@ def test_split_mcd_alpha_out_of_range(option, value, tmp_path, small_dataset, ca
                 "--iterations", "10", option, value]) == 2
     assert capsys.readouterr().err.startswith(f"compgen: error: alpha must be in (0, 1), got {value}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--max-atom-div", "nan", "max atom divergence must be in [0, 1], got nan"),
+    ("--max-atom-div", "-0.1", "max atom divergence must be in [0, 1], got -0.1"),
+    ("--max-atom-div", "1.5", "max atom divergence must be in [0, 1], got 1.5"),
+    ("--iterations", "-1", "iterations must be >= 0, got -1"),
+    ("--target", "nan", "target compound divergence must be in [0, 1]"),
+    ("--target", "1.5", "target compound divergence must be in [0, 1]"),
+    # The ends of the ranges pass the check: bound 0 fails only in the search.
+    ("--max-atom-div", "0", "could not reach atom divergence <= 0.0 (got 0.0003)"),
+    ("--max-atom-div", "1.0", None),
+    ("--iterations", "0", None),
+])
+def test_split_mcd_target_bound_and_patience_ranges(option, value, message, tmp_path,
+                                                    small_dataset, capsys):
+    out = tmp_path / "mcd.json"
+    code = run(["split", "mcd", "--in", str(small_dataset), "--out", str(out),
+                "--iterations", "10", option, value])
+    if message is None:
+        assert code == 0
+        assert json.loads(out.read_text())["spec"]["kind"] == "mcd"
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"compgen: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", ["dbca analyze", "split mcd", "prep twice"])
@@ -682,3 +734,108 @@ def test_subcommands_leave_no_data_proportional_cycles(scan_dataset, tmp_path):
         if was:
             gc.enable()
     assert found[1] == found[2]
+
+
+def _strict_json(path):
+    """The value of a JSON file, refusing the NaN and Infinity that
+    json.dumps writes for non-finite floats but JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def _stage(*argv):
+    """Whether cli.run(argv) exits 0; the only other outcome allowed is
+    exit 2 with one `compgen: error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    message = err.getvalue()
+    assert (code, message) == (0, "") or (
+        code == 2 and message.startswith("compgen: error: ") and message.count("\n") == 1), (
+        argv, code, message)
+    return code == 0
+
+
+# A float option's value, where None leaves the option out: inside (0, 1),
+# or one of the ends or values out of range.  Alphas and targets out of
+# range have tests of their own.
+_INSIDE = st.none() | st.floats(0.01, 0.99)
+_FLOAT = _INSIDE | st.sampled_from([0.0, 1.0, -0.1, 1.5, math.nan, math.inf, -math.inf])
+_SPLIT_OPTIONS = {  # split kind -> strategy of its options
+    "random": st.fixed_dictionaries({"seed": st.integers(0, 9), "train-fraction": _FLOAT}),
+    "primitive": st.fixed_dictionaries(
+        {"primitive": st.sampled_from(scan.HOLDOUT_PRIMITIVES + ("turn", "dax"))}),
+    "subcommand": st.fixed_dictionaries({"phrase": st.sampled_from(
+        ["jump", "walk twice", "turn left", "look around right", "run and", ""])}),
+    "template": st.fixed_dictionaries({"template": st.sampled_from(
+        ["$Primitive around right", "$Primitive twice", "$Primitive", "turn $Primitive",
+         "$Primitive and $Primitive", "around right"])}),
+    "length": st.fixed_dictionaries({"max-length": st.integers(-1, 40)}),
+    "mcd": st.fixed_dictionaries({
+        "seed": st.integers(0, 9), "train-fraction": _FLOAT, "target": _INSIDE,
+        "max-atom-div": _FLOAT, "iterations": st.integers(-1, 60),
+        "atom-alpha": _INSIDE, "compound-alpha": _INSIDE}),
+}
+
+
+# Options that pass every check, with a NaN atom bound for split mcd: the
+# search then accepts no swap and writes NaN, which is not JSON, unless
+# build_mcd_split refuses the bound.
+_NAN_BOUND = {"random": {"seed": 0, "train-fraction": None}, "primitive": {"primitive": "jump"},
+              "subcommand": {"phrase": "walk twice"},
+              "template": {"template": "$Primitive around right"}, "length": {"max-length": 22},
+              "mcd": {"seed": 0, "train-fraction": None, "target": None, "max-atom-div": math.nan,
+                      "iterations": 20, "atom-alpha": None, "compound-alpha": None}}
+
+
+@settings(max_examples=25, deadline=None)
+@example(indices=list(range(0, 20910, 105)), options=_NAN_BOUND, alphas=(0.5, 0.1),
+         prep_flags=set(), variance="stdev", bucket_width=5, axis="output")
+@given(indices=st.lists(st.integers(0, 20909), min_size=1, max_size=200, unique=True),
+       options=st.fixed_dictionaries(_SPLIT_OPTIONS),
+       alphas=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+       prep_flags=st.sets(st.sampled_from(["--identity", "--global-length"])),
+       variance=st.sampled_from(evaluation.VARIANCE_KINDS),
+       bucket_width=st.integers(1, 10), axis=st.sampled_from(evaluation.LENGTH_AXES))
+def test_each_stage_accepts_what_the_stage_before_writes(
+        scan_dataset, indices, options, alphas, prep_flags, variance, bucket_width, axis):
+    # Every split kind of a random SCAN subset with random options, each
+    # split then through dbca analyze and, when both of its sides hold
+    # examples, the test side through prep cgps-prefix, eval score and
+    # eval length-breakdown.  Every JSON file written must be strict JSON.
+    examples = [scan_dataset[i] for i in indices]
+    by_id = {ex.id: ex for ex in examples}
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        dataset = work / "data.jsonl"
+        data.save_dataset(examples, dataset)
+        for kind, values in options.items():
+            split = work / f"split_{kind}.json"
+            argv = [f"--{k}={v}" for k, v in values.items() if v is not None]
+            if not _stage("split", kind, "--in", str(dataset), "--out", str(split), *argv):
+                continue
+            ids = _strict_json(split)
+            assert _stage("dbca", "analyze", "--in", str(dataset), "--split", str(split),
+                          f"--atom-alpha={alphas[0]}", f"--compound-alpha={alphas[1]}",
+                          "--out", str(work / f"dbca_{kind}.json"))
+            if not (ids["train"] and ids["test"]):
+                continue
+            train, test, prefixed, pred = (work / f"{kind}_{name}.jsonl" for name in
+                                           ("train", "test", "prefixed", "pred"))
+            data.save_dataset([by_id[i] for i in ids["train"]], train)
+            data.save_dataset([by_id[i] for i in ids["test"]], test)
+            assert _stage("prep", "cgps-prefix", "--in", str(test), "--token-map", "scan",
+                          *sorted(prep_flags), "--out", str(prefixed))
+            # Every other prediction is its gold's actions reversed.
+            data.save_predictions([data.PredictionRecord(ex.id, ex.output if k % 2 else
+                                                         ex.output[::-1])
+                                   for k, ex in enumerate(data.load_dataset(prefixed))], pred)
+            assert _stage("eval", "score", "--gold", str(prefixed), "--pred", str(pred),
+                          "--variance", variance, "--out", str(work / f"score_{kind}.json"))
+            assert _stage("eval", "length-breakdown", "--gold", str(prefixed),
+                          "--pred", str(pred), "--train", str(train),
+                          "--bucket-width", str(bucket_width), "--axis", axis,
+                          "--out", str(work / f"breakdown_{kind}.csv"))
+        for path in work.glob("*.json"):
+            _strict_json(path)

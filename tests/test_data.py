@@ -549,12 +549,12 @@ def test_cgps_prefix_counts_non_mappable():
 
 def test_cgps_prefix_all_mappable_unchanged():
     ex = example(["jump"], ["JUMP"])
-    assert data.cgps_prefix(ex, data.SCAN_TOKEN_MAP) is ex
+    assert data.cgps_prefix(ex, scan.TOKEN_MAP) is ex
 
 
 def test_cgps_prefix_scan_map():
     ex = example(["jump", "left"], ["LTURN", "JUMP"])
-    assert data.cgps_prefix(ex, data.SCAN_TOKEN_MAP) is ex
+    assert data.cgps_prefix(ex, scan.TOKEN_MAP) is ex
 
 
 def test_cgps_prefix_idempotence_guard():

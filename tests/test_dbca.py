@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from compgen import data, dbca, scan, splits
 from oracle_dbca import divergence, nodes
+from test_golden import MCD_REPAIR_SHA256, MCD_SAMPLE_SHA256
 
 
 def trace_of(command):
@@ -274,9 +275,7 @@ def test_incremental_proposal_leaves_state_unchanged(scan_dataset):
             state.chernoff_sum, state.value()) == before
 
 
-# The MCD split below, as computed before the search state became integer:
-# sha256 of the JSON text of [train_ids, test_ids].
-MCD_SAMPLE_SHA256 = "3d7d4702a4904866efd40a334bffd205cced10bbea836d4b54d0b18a7804a353"
+# The MCD split that MCD_SAMPLE_SHA256 pins.
 MCD_SAMPLE_SCRIPT = """
 import json, random
 from compgen import dbca, scan
@@ -296,12 +295,6 @@ def test_mcd_output_independent_of_hash_seed():
         outputs.append(proc.stdout.strip())
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == MCD_SAMPLE_SHA256
-
-
-# A search that starts above its atom bound, so that it runs the repair
-# phase first: the split as computed before the compound side was scored
-# first outside repair.
-MCD_REPAIR_SHA256 = "c835445631c75b395cbc67e7f98ed7f86d734e29a13ed8ba19a69c4067c0db8b"
 
 
 def test_mcd_repair_phase_is_pinned(scan_dataset):

@@ -9,14 +9,25 @@ modes, `eval score` (every variance kind, with and without --clause-set),
 `ir encode`/`ir decode` at f1/f2/f3.  Its SPARQL queries and predictions
 are written here, so that nothing outside this file can move the table.
 A change that alters an output on purpose updates GOLDEN and names each
-changed file."""
+changed file.  The two MCD split pins below are checked by tests/test_dbca.py
+and, with the table, by this file's standalone run."""
 
 import hashlib
 import json
 import random
 from pathlib import Path
 
+from compgen import dbca, scan
 from compgen.cli import run
+
+# Two MCD splits of one seeded 400-example sample of the SCAN set, pinned as
+# the sha256 of the JSON text of [train_ids, test_ids].  MCD_SAMPLE_SHA256 is
+# the split at the default atom bound, as computed before the search state
+# became integer.  MCD_REPAIR_SHA256 is the split at bound 0.001, which the
+# random start exceeds, so that the search runs the repair phase first, as
+# computed before the compound side was scored first outside repair.
+MCD_SAMPLE_SHA256 = "3d7d4702a4904866efd40a334bffd205cced10bbea836d4b54d0b18a7804a353"
+MCD_REPAIR_SHA256 = "c835445631c75b395cbc67e7f98ed7f86d734e29a13ed8ba19a69c4067c0db8b"
 
 SPLITS = {  # name -> options of `split <kind>`
     "random": ["random", "--in", "scan.jsonl", "--seed", "3"],
@@ -153,6 +164,19 @@ def _pipeline():
              "--out", f"{level}_decoded.txt")
 
 
+def mcd_pins(dataset):
+    """The sha256 of each pinned MCD split of dataset, the SCAN set, by the
+    name of its pin."""
+    sample = random.Random(3).sample(dataset, 400)
+    hashes = {}
+    for name, bound in (("MCD_SAMPLE_SHA256", 0.02), ("MCD_REPAIR_SHA256", 0.001)):
+        result, _ = dbca.build_mcd_split(sample, seed=5, iterations=300, max_proposals=5000,
+                                         max_atom_divergence=bound)
+        text = json.dumps([list(result.train_ids), list(result.test_ids)])
+        hashes[name] = hashlib.sha256(text.encode()).hexdigest()
+    return hashes
+
+
 def _changed(directory):
     """The names of the files of the golden table, and of the files in
     directory, whose hashes differ: missing and extra files included."""
@@ -252,7 +276,7 @@ GOLDEN = {
 if __name__ == "__main__":
     # The gate without pytest, for any interpreter: run from the repository
     # root as `PYTHONPATH=src python tests/test_golden.py`; it prints each
-    # file whose hash differs and exits 1 if there is one.
+    # file or MCD pin whose hash differs and exits 1 if there is one.
     import os
     import sys
     import tempfile
@@ -265,8 +289,11 @@ if __name__ == "__main__":
             changed = _changed(work)
         finally:
             os.chdir(home)
-    for name in changed:
+    pins = {"MCD_SAMPLE_SHA256": MCD_SAMPLE_SHA256, "MCD_REPAIR_SHA256": MCD_REPAIR_SHA256}
+    moved = [name for name, digest in mcd_pins(scan.enumerate_dataset()).items()
+             if digest != pins[name]]
+    for name in changed + moved:
         print(f"differs: {name}")
     print(f"python {sys.version.split()[0]}: {len(changed)} files differ "
-          f"from the golden table of {len(GOLDEN)}")
-    sys.exit(1 if changed else 0)
+          f"from the golden table of {len(GOLDEN)}, {len(moved)} of the {len(pins)} MCD pins")
+    sys.exit(1 if changed or moved else 0)
