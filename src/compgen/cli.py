@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, data, dbca, evaluation, scan, splits, sparql
@@ -141,9 +141,9 @@ def _eval_score(args):
                        **asdict(agg)}, indent=2) + "\n"
 
 
-# An `eval score` output's evaluation.AggregateStat fields, and their kinds.
-_CELL = {"mean": "a number", "variance": "a number", "variance_kind": "a string",
-         "n_replicas": "an integer"}
+# An `eval score` output's evaluation.AggregateStat fields, each with the JSON kind of its type.
+_CELL = {f.name: {"float": "a number", "str": "a string", "int": "an integer"}[f.type]
+         for f in fields(evaluation.AggregateStat)}
 
 
 def _eval_report(args):
@@ -169,7 +169,7 @@ def _eval_length_breakdown(args):
     with _naming(args.pred, evaluation.PredictionError):
         buckets = evaluation.length_breakdown(preds, golds, train,
                                               args.bucket_width, args.axis)
-    lines = ["low,high,train_count,test_count,accuracy,unseen_length"]
+    lines = [",".join(f.name for f in fields(evaluation.LengthBucket))]
     for b in buckets:
         acc = "" if b.accuracy is None else f"{b.accuracy:g}"
         lines.append(f"{b.low},{b.high},{b.train_count},{b.test_count},"
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     alphas(p)
 
     p = leaf(group("dbca", "divergence analysis of a split"), "analyze", _dbca_analyze,
-             "measure divergences of an existing (e.g. released) split id list")
+             "measure divergences of a split file as `split` writes it (spec.kind, train, test)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--split", required=True)
     alphas(p)

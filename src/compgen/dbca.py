@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .data import DerivationTrace, Example
-from .splits import SplitResult, SplitSpec, random_partition
+from .splits import SplitResult, SplitSpec, random_partition, split_result
 
 DEFAULT_ATOM_ALPHA = 0.5
 DEFAULT_COMPOUND_ALPHA = 0.1
@@ -325,8 +325,5 @@ def build_mcd_split(examples: Sequence[Example],
         "atom_alpha": atom_alpha,
         "compound_alpha": compound_alpha,
     }, seed, train_fraction)
-    result = SplitResult(spec, tuple(examples[i].id for i in train_idx),
-                         tuple(examples[i].id for i in test_idx),
-                         {"train_size": len(train_idx), "test_size": len(test_idx),
-                          "divergence": asdict(report)})
-    return result, report
+    return split_result(spec, [examples[i].id for i in train_idx],
+                        [examples[i].id for i in test_idx], divergence=asdict(report)), report

@@ -60,11 +60,19 @@ def load_split(path) -> SplitResult:
                        tuple(train), tuple(test), stats or {})
 
 
+def split_result(spec: SplitSpec, train_ids: Sequence[str], test_ids: Sequence[str],
+                 **stats) -> SplitResult:
+    """The record of a split of any kind: stats train_size, test_size, then the kind's own."""
+    if not (train_ids and test_ids):
+        raise SplitError(f"{spec.kind} split leaves no {'test' if train_ids else 'train'} examples")
+    return SplitResult(spec, tuple(train_ids), tuple(test_ids),
+                       {"train_size": len(train_ids), "test_size": len(test_ids), **stats})
+
+
 def _result(spec: SplitSpec, train: list[Example], test: list[Example]) -> SplitResult:
     train_vocab, test_vocab = ({tok for ex in side for tok in ex.input} for side in (train, test))
-    return SplitResult(spec, tuple([ex.id for ex in train]), tuple([ex.id for ex in test]),
-                       {"train_size": len(train), "test_size": len(test),
-                        "test_vocab_missing_from_train": sorted(test_vocab - train_vocab)})
+    return split_result(spec, [ex.id for ex in train], [ex.id for ex in test],
+                        test_vocab_missing_from_train=sorted(test_vocab - train_vocab))
 
 
 def random_partition(n: int, rng: random.Random, train_fraction: float) -> tuple[list, list]:
@@ -158,10 +166,5 @@ def build_length_split(dataset: Sequence[Example],
     test.  22 is the canonical SCAN choice."""
     if max_train_output_length < 1:
         raise SplitError("length threshold must be >= 1")
-    result = _holdout(dataset, SplitSpec("length", max_train_output_length),
-                      lambda ex: len(ex.output) > max_train_output_length)
-    if not result.train_ids:
-        raise SplitError("length threshold excludes all examples from train")
-    if not result.test_ids:
-        raise SplitError("length threshold leaves no test examples")
-    return result
+    return _holdout(dataset, SplitSpec("length", max_train_output_length),
+                    lambda ex: len(ex.output) > max_train_output_length)

@@ -141,6 +141,28 @@ def test_split_subcommands(tmp_path, small_dataset):
     assert set(obj["train"]).isdisjoint(obj["test"])
 
 
+@pytest.mark.parametrize("commands,argv,side", [
+    (3, ["primitive", "--primitive", "look"], "test"),
+    (3, ["subcommand", "--phrase", "walk twice"], "test"),
+    (3, ["template", "--template", "$Primitive around right"], "test"),
+    (2, ["primitive", "--primitive", "jump"], "train"),
+])
+def test_one_sided_split_exits_2_and_writes_nothing(commands, argv, side, tmp_path,
+                                                    scan_dataset, capsys):
+    # Of `jump`, `jump twice` and `jump thrice` (the last `commands` of
+    # them), nothing matches a look, walk or around rule, and jump's bare
+    # command, which train keeps, is not among the last two.
+    by_input = {" ".join(ex.input): ex for ex in scan_dataset}
+    dataset = tmp_path / "jump.jsonl"
+    data.save_dataset([by_input[c] for c in ("jump", "jump twice", "jump thrice")[-commands:]],
+                      dataset)
+    out = tmp_path / "split.json"
+    assert run(["split", *argv, "--in", str(dataset), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"compgen: error: {argv[0]}_holdout split leaves no {side} examples\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jump.jsonl"]
+
+
 def test_split_random_seeded(tmp_path, small_dataset):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -250,6 +272,29 @@ def test_eval_score(tmp_path):
     stat_keys = [f.name for f in dataclasses.fields(evaluation.AggregateStat)]
     assert list(report) == ["split", "replica_accuracies", *stat_keys]
     assert list(cli._CELL) == stat_keys
+
+
+def test_eval_score_relaxes_braces_to_the_oov_token(tmp_path):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"id": "1", "input": ["q"],
+                                "output": ["SELECT", "{", "?x0", "}"]}) + "\n")
+    unk, oov = tmp_path / "unk.jsonl", tmp_path / "oov.jsonl"
+    for path, token in ((unk, "<unk>"), (oov, "OOV")):
+        path.write_text(json.dumps({"id": "1", "prediction": ["SELECT", token, "?x0", token]})
+                        + "\n")
+
+    def mean(pred, *flags):
+        out = tmp_path / "score.json"
+        assert run(["eval", "score", "--gold", str(gold), "--pred", str(pred), *flags,
+                    "--out", str(out)]) == 0
+        return json.loads(out.read_text())["mean"]
+
+    assert mean(unk) == 0.0
+    assert mean(unk, "--relax-braces") == 1.0
+    assert mean(oov, "--relax-braces") == 0.0
+    assert mean(unk, "--relax-braces", "--oov-token", "OOV") == 0.0
+    assert mean(oov, "--relax-braces", "--oov-token", "OOV") == 1.0
+    assert mean(oov, "--oov-token", "OOV") == 0.0
 
 
 def test_eval_report(tmp_path):
@@ -800,10 +845,10 @@ _NAN_BOUND = {"random": {"seed": 0, "train-fraction": None}, "primitive": {"prim
        bucket_width=st.integers(1, 10), axis=st.sampled_from(evaluation.LENGTH_AXES))
 def test_each_stage_accepts_what_the_stage_before_writes(
         scan_dataset, indices, options, alphas, prep_flags, variance, bucket_width, axis):
-    # Every split kind of a random SCAN subset with random options, each
-    # split then through dbca analyze and, when both of its sides hold
-    # examples, the test side through prep cgps-prefix, eval score and
-    # eval length-breakdown.  Every JSON file written must be strict JSON.
+    # Every split kind of a random SCAN subset with random options.  Each
+    # split written must hold examples on both sides; it then goes through
+    # dbca analyze, and its test side through prep cgps-prefix, eval score
+    # and eval length-breakdown.  Every JSON file written must be strict JSON.
     examples = [scan_dataset[i] for i in indices]
     by_id = {ex.id: ex for ex in examples}
     with tempfile.TemporaryDirectory() as work:
@@ -819,8 +864,7 @@ def test_each_stage_accepts_what_the_stage_before_writes(
             assert _stage("dbca", "analyze", "--in", str(dataset), "--split", str(split),
                           f"--atom-alpha={alphas[0]}", f"--compound-alpha={alphas[1]}",
                           "--out", str(work / f"dbca_{kind}.json"))
-            if not (ids["train"] and ids["test"]):
-                continue
+            assert ids["train"] and ids["test"], (kind, argv)
             train, test, prefixed, pred = (work / f"{kind}_{name}.jsonl" for name in
                                            ("train", "test", "prefixed", "pred"))
             data.save_dataset([by_id[i] for i in ids["train"]], train)

@@ -156,10 +156,20 @@ def test_length_split(scan_dataset):
 
 def test_length_split_degenerate(scan_dataset):
     max_len = max(len(ex.output) for ex in scan_dataset)
-    with pytest.raises(splits.SplitError):
+    with pytest.raises(splits.SplitError, match="^length split leaves no test examples$"):
         splits.build_length_split(scan_dataset, max_len)
+    long_only = [ex for ex in scan_dataset if len(ex.output) > 5]
+    with pytest.raises(splits.SplitError, match="^length split leaves no train examples$"):
+        splits.build_length_split(long_only, 5)
     with pytest.raises(splits.SplitError):
         splits.build_length_split(scan_dataset, 0)
+
+
+@pytest.mark.parametrize("train,test,side", [
+    ([], ["a"], "train"), (["a"], [], "test"), ([], [], "train")])
+def test_split_result_refuses_an_empty_side(train, test, side):
+    with pytest.raises(splits.SplitError, match=f"^mcd split leaves no {side} examples$"):
+        splits.split_result(splits.SplitSpec("mcd"), train, test, divergence={})
 
 
 @pytest.mark.parametrize("build", [
