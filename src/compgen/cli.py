@@ -5,11 +5,12 @@ the `run` default of its parser: it returns its output text, or writes its
 own dataset or split file.  run() writes the text to --out or stdout, and
 for a run with --out also `<out>.manifest.json`: its config lists every
 parsed option that is not a path, and it holds the sha256 of every input
-and output file, so results stay auditable and reproducible.  Each
-subcommand runs with the cyclic garbage collector paused (see
-data.collector_paused).  The default for --seed can be overridden with the
-COMPGEN_SEED environment variable, which must then be an integer.  Bad
-input ends in an error that names the file and line, with exit code 2.
+file (hashed before the run, which may write over one) and output file, so
+results stay auditable and reproducible.  Each subcommand runs with the
+cyclic garbage collector paused (see data.collector_paused).  The default
+for --seed can be overridden with the COMPGEN_SEED environment variable,
+which must then be an integer.  Bad input ends in an error that names the
+file and line, with exit code 2.
 """
 
 from __future__ import annotations
@@ -59,16 +60,16 @@ def _input_files(options) -> dict:
     return files
 
 
-def _write_manifest(args) -> None:
+def _write_manifest(args, inputs: dict) -> None:
+    """inputs: the sha256 of each input file by option, as the run read it."""
     options = vars(args)
-    inputs = _input_files(options)
     manifest = {
         "tool": "compgen",
         "version": __version__,
         "command": f"{args.command} {args.subcommand}",
         "config": {k: v for k, v in sorted(options.items())
                    if k not in _NOT_CONFIG and k not in inputs},
-        "inputs": {str(path): _sha256(path) for path in inputs.values()},
+        "inputs": {str(options[k]): sha256 for k, sha256 in inputs.items()},
         "outputs": {str(args.out): _sha256(args.out)},
     }
     Path(str(args.out) + ".manifest.json").write_text(
@@ -312,6 +313,8 @@ def run(argv) -> int:
     --out also the manifest.  Bad input ends in exit code 2."""
     args = build_parser().parse_args(argv)
     try:
+        files = _input_files(vars(args)) if args.out is not None else {}
+        inputs = {k: _sha256(path) for k, path in files.items()}
         with data.collector_paused():
             text = args.run(args)
         if args.out is None:
@@ -319,7 +322,7 @@ def run(argv) -> int:
             return 0
         if text is not None:
             Path(args.out).write_text(text, encoding="utf-8")
-        _write_manifest(args)
+        _write_manifest(args, inputs)
     except (ValueError, OSError) as exc:
         print(f"compgen: error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -32,8 +33,16 @@ class DataError(ValueError):
     pass
 
 
-# json.dumps builds a new encoder per call for any non-default option.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# json.dumps and json.loads build a new coder per call for any non-default
+# option.  Neither coder takes NaN or an infinity, which JSON does not have.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_not_json)
 _TSV_SUFFIXES = (".tsv", ".txt")  # a dataset file with another suffix is jsonl
 # Derivation levels (512 nested JSON arrays) and meta levels (nested JSON
 # objects and arrays) that a saved example may have: well within what a load reads.
@@ -45,7 +54,7 @@ MAX_SAVED_DEPTH = 256
 _KINDS = {
     "a string": lambda v: isinstance(v, str),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
     "a JSON object": lambda v: isinstance(v, dict),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
 }
@@ -296,7 +305,7 @@ def _mistyped(line_keys: Mapping[str, str], key: str) -> TypeError:
 
 
 def _json_object(line: str) -> dict:
-    obj = json.loads(line)
+    obj = _DECODER.decode(line)
     if type(obj) is not dict:
         raise TypeError("expected a JSON object")
     return obj
@@ -439,9 +448,9 @@ def save_dataset(examples: Iterable[Example], path) -> None:
     """Write tsv (input and output only) or jsonl, by suffix as load_dataset
     reads.  An example that load_dataset could not read back is a DataError
     naming it: one with a derivation or a meta deeper than MAX_SAVED_DEPTH
-    levels, or otherwise nested too deeply for JSON.  The lines go to
-    <path>.partial, which replaces path only once all are written, so an
-    error leaves path as it was and no partial file."""
+    levels, or otherwise nested too deeply for JSON, or holding NaN or an
+    infinity.  The lines go to <path>.partial, which replaces path only once
+    all are written, so an error leaves path as it was and no partial file."""
     tsv = Path(path).suffix in _TSV_SUFFIXES
     partial = f"{path}.partial"
     try:
@@ -468,6 +477,9 @@ def save_dataset(examples: Iterable[Example], path) -> None:
                 except RecursionError:
                     raise DataError(f"example {ex.id!r} is nested too deeply "
                                     "for JSON") from None
+                except ValueError:
+                    raise DataError(f"example {ex.id!r} holds NaN or an infinity, "
+                                    "which JSON does not have") from None
                 fh.write(line + "\n")
         os.replace(partial, path)
     except BaseException:

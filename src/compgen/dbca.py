@@ -15,7 +15,6 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .data import DerivationTrace, Example
@@ -80,32 +79,22 @@ def extract_compounds(trace: DerivationTrace) -> Counter:
     return Counter(compounds)
 
 
-def _check_args(examples: Iterable[Example], atom_alpha: float,
-                compound_alpha: float) -> None:
+def _check_args(atom_alpha: float, compound_alpha: float) -> None:
     for alpha in (atom_alpha, compound_alpha):
         if not 0 < alpha < 1:
             raise DbcaError(f"alpha must be in (0, 1), got {alpha}")
-    for ex in examples:
-        if ex.derivation is None:
-            raise MissingTraceError(f"example {ex.id!r} has no derivation trace")
 
 
 def measure(train: Sequence[Example], test: Sequence[Example],
             atom_alpha: float = DEFAULT_ATOM_ALPHA,
             compound_alpha: float = DEFAULT_COMPOUND_ALPHA) -> DivergenceReport:
-    """Divergence report for an existing partition (e.g. a released split),
-    each side summed into one row and counted as build_mcd_split's report."""
-    _check_args(chain(train, test), atom_alpha, compound_alpha)
-    atoms, compounds = (Counter(), Counter()), (Counter(), Counter())
-    for side, examples in enumerate((train, test)):
-        for ex in examples:
-            # One example's keys at a time: a whole side's list would cost memory.
-            ex_atoms, ex_compounds = [], []
-            _walk(ex.derivation, ex_atoms, ex_compounds)
-            atoms[side].update(ex_atoms)
-            compounds[side].update(ex_compounds)
-    return _report(_id_rows(atoms), _id_rows(compounds), [0], [1],
-                   atom_alpha, compound_alpha, len(train), len(test))
+    """Divergence report for an existing partition (e.g. a released split):
+    each side is one row of _rows, counted as build_mcd_split's report."""
+    _check_args(atom_alpha, compound_alpha)
+    atom_rows, compound_rows = _rows((train, test))
+    return _report(_Divergence(atom_rows, [0], [1], atom_alpha),
+                   _Divergence(compound_rows, [0], [1], compound_alpha),
+                   len(train), len(test))
 
 
 def _numbering():
@@ -117,22 +106,24 @@ def _numbering():
                                 [(ids.setdefault(k, len(ids)), v) for k, v in counts.items()])
 
 
-def _id_rows(counters) -> list[tuple]:
-    """Each Counter as a row, numbered together by one _numbering."""
-    row = _numbering()
-    return [row(counts) for counts in counters]
-
-
-def _example_rows(examples: Sequence[Example]) -> tuple[list, list]:
-    """The atom rows and the compound rows of examples, as _id_rows of their
-    extract_atoms and of their extract_compounds; each trace is walked once."""
+def _rows(groups: Iterable[Iterable[Example]]) -> tuple[list, list]:
+    """One atom row and one compound row per group of examples: the sum of
+    the group's extract_atoms, and of its extract_compounds, as rows of one
+    _numbering per kind.  Each trace is walked once, one example's keys at
+    a time: a whole group's list would cost memory."""
     atom_row, compound_row = _numbering(), _numbering()
     atom_rows, compound_rows = [], []
-    for ex in examples:
-        atoms, compounds = [], []
-        _walk(ex.derivation, atoms, compounds)
-        atom_rows.append(atom_row(Counter(atoms)))
-        compound_rows.append(compound_row(Counter(compounds)))
+    for group in groups:
+        atoms, compounds = Counter(), Counter()
+        for ex in group:
+            if ex.derivation is None:
+                raise MissingTraceError(f"example {ex.id!r} has no derivation trace")
+            ex_atoms, ex_compounds = [], []
+            _walk(ex.derivation, ex_atoms, ex_compounds)
+            atoms.update(ex_atoms)
+            compounds.update(ex_compounds)
+        atom_rows.append(atom_row(atoms))
+        compound_rows.append(compound_row(compounds))
     return atom_rows, compound_rows
 
 
@@ -143,7 +134,6 @@ class _Divergence:
 
     def __init__(self, rows: Sequence[tuple], train_idx, test_idx, alpha: float):
         self.rows, self.alpha, self.beta = rows, alpha, 1 - alpha
-        self.sizes = [sum(v for _, v in row) for row in rows]
         n = 1 + max((k for row in rows for k, _ in row), default=-1)
         self.train, self.test = [0] * n, [0] * n
         for side, idx in ((self.train, train_idx), (self.test, test_idx)):
@@ -186,7 +176,7 @@ class _Divergence:
                 before += terms[k]
                 after += pa[train[k] - v] * pb[test[k] + v]
         chernoff_sum = self.chernoff_sum + (after - before)
-        shift = self.sizes[out_i] - self.sizes[in_i]
+        shift = sum(delta.values())  # the size of row out_i less that of row in_i
         self._pending = delta, chernoff_sum, shift
         return self._value(chernoff_sum, self.train_total - shift,
                            self.test_total + shift)
@@ -205,14 +195,15 @@ class _Divergence:
         self.test_total += shift
 
 
-def _report(atom_rows: Sequence[tuple], compound_rows: Sequence[tuple],
-            train_idx, test_idx, atom_alpha: float, compound_alpha: float,
-            train_size: int, test_size: int) -> DivergenceReport:
-    """Rows train_idx against rows test_idx, counted afresh, atoms then compounds."""
-    return DivergenceReport(
-        _Divergence(atom_rows, train_idx, test_idx, atom_alpha).value(),
-        _Divergence(compound_rows, train_idx, test_idx, compound_alpha).value(),
-        atom_alpha, compound_alpha, train_size, test_size)
+def _report(atoms: _Divergence, comps: _Divergence, train_size: int,
+            test_size: int) -> DivergenceReport:
+    """The report of an atom and a compound state, each Chernoff sum taken
+    afresh from the kept terms (a recount of the rows: a term comes from its
+    key's counts alone), so that no drift reaches it.  Changes no state."""
+    atom_div, comp_div = (s._value(math.fsum(s.terms), s.train_total, s.test_total)
+                          for s in (atoms, comps))
+    return DivergenceReport(atom_div, comp_div, atoms.alpha, comps.alpha,
+                            train_size, test_size)
 
 
 def build_mcd_split(examples: Sequence[Example],
@@ -248,8 +239,7 @@ def build_mcd_split(examples: Sequence[Example],
     proposal reads the terms it replaces.  Swap positions are drawn with
     getrandbits exactly as rng.randrange draws them.  No step depends on
     hash order, so the split is a function of the arguments.
-    The report is read from the final search state, with each Chernoff sum
-    summed afresh from the kept terms: the value of a recount of the rows.
+    The report is _report of the final search state.
     """
     if not 0 <= target_compound_divergence <= 1:
         raise DbcaError("target compound divergence must be in [0, 1]")
@@ -257,11 +247,11 @@ def build_mcd_split(examples: Sequence[Example],
         raise DbcaError(f"max atom divergence must be in [0, 1], got {max_atom_divergence}")
     if iterations < 0:
         raise DbcaError(f"iterations must be >= 0, got {iterations}")
-    _check_args(examples, atom_alpha, compound_alpha)
+    _check_args(atom_alpha, compound_alpha)
+    # Counting draws nothing from rng: a missing trace is reported first.
+    atom_rows, compound_rows = _rows(zip(examples))
     rng = random.Random(seed)
     train_idx, test_idx = random_partition(len(examples), rng, train_fraction)
-
-    atom_rows, compound_rows = _example_rows(examples)
     atoms = _Divergence(atom_rows, train_idx, test_idx, atom_alpha)
     comps = _Divergence(compound_rows, train_idx, test_idx, compound_alpha)
 
@@ -307,13 +297,7 @@ def build_mcd_split(examples: Sequence[Example],
 
     train_idx.sort()
     test_idx.sort()
-    # Each Chernoff sum afresh from the kept terms, so that no drift of the
-    # running sums reaches the bound check or the report.  A term comes from
-    # its key's counts and c + d never changes: this is _report's recount.
-    for side in (atoms, comps):
-        side.chernoff_sum = math.fsum(side.terms)
-    report = DivergenceReport(atoms.value(), comps.value(), atom_alpha,
-                              compound_alpha, len(train_idx), len(test_idx))
+    report = _report(atoms, comps, len(train_idx), len(test_idx))
     if report.atom_divergence > max_atom_divergence + 1e-9:
         raise InfeasibleSplitError(
             f"could not reach atom divergence <= {max_atom_divergence} "

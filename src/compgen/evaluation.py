@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .data import Example, PredictionRecord
-from .sparql import (IrDecodeError, SparqlParseError, clause_set_equal,
-                     parse_sparql)
+from .sparql import SparqlParseError, clause_set_equal, parse_sparql
 
 BRACES = ("{", "}")
 DEFAULT_OOV_TOKEN = "<unk>"

@@ -51,6 +51,8 @@ def load_split(path) -> SplitResult:
         "train_fraction": "a number or null"})
     where: dict[str, str] = {}
     for name, ids in (("train", train), ("test", test)):
+        if not ids:  # as split_result words it
+            raise doc.error(f"{kind} split leaves no {name} examples", ids)
         for k, i in enumerate(ids):
             if i in where:
                 raise doc.error(f"repeated id {i!r} in {name!r}" if where[i] == name

@@ -493,6 +493,9 @@ def test_option_errors_do_not_name_the_prediction_file(tmp_path, capsys):
      "'replica' must be an integer or null"),
     ("--pred", {"id": "a", "prediction": ["A"], "replica": True},
      "'replica' must be an integer or null"),
+    ("--in", {"id": "a", "input": ["a"], "output": ["A"], "meta": {"x": math.nan}},
+     "NaN is not JSON"),
+    ("--pred", {"id": "a", "prediction": ["A"], "replica": -math.inf}, "-Infinity is not JSON"),
 ])
 def test_mistyped_line_exits_2_naming_its_line(option, line, message, tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
@@ -614,6 +617,19 @@ def test_manifest_keeps_the_builtin_token_map_in_config(small_dataset, tmp_path)
     assert set(manifest["outputs"]) == {str(out)}
 
 
+def test_manifest_hashes_an_input_as_read_when_the_run_writes_over_it(scan_dataset, tmp_path):
+    path = tmp_path / "x.jsonl"
+    data.save_dataset(scan_dataset[:3], path)
+    read = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert read.startswith("a4c6")
+    assert run(["prep", "cgps-prefix", "--in", str(path), "--out", str(path),
+                "--identity"]) == 0
+    written = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert written != read
+    manifest = json.loads((tmp_path / "x.jsonl.manifest.json").read_text())
+    assert (manifest["inputs"], manifest["outputs"]) == ({str(path): read}, {str(path): written})
+
+
 BAD_INPUTS = [(name, INPUT_OPTIONS[a.dest]) for name, p in sorted(LEAVES.items())
               for a in p._actions if a.dest in INPUT_OPTIONS]
 
@@ -691,6 +707,12 @@ def test_a_trace_at_the_depth_bound_round_trips_through_the_cli(monkeypatch, tmp
     ("eval report", "--in", '{"A": {\n "s": {"mean": "0.5", "variance": 0.1, '
      '"variance_kind": "stdev", "n_replicas": 2}}}', ":2: 'mean' must be a number"),
     ("eval report", "--in", '{"A":\n [1]}', ":2: expected a JSON object"),
+    ("eval report", "--in", '{"A": {\n "s": {"mean": 0.5, "variance": Infinity, '
+     '"variance_kind": "stdev", "n_replicas": 2}}}', ":2: 'variance' must be a number"),
+    ("eval curve", "--in", '[{"divergence": 0.5, "accuracy": 0.1},\n {"divergence": NaN, '
+     '"accuracy": 0.5}]', ":2: 'divergence' must be a number"),
+    ("dbca analyze", "--split", '{"spec":\n {"kind": "random", "train_fraction": -Infinity},'
+     ' "train": ["a"], "test": ["b"]}', ":2: 'train_fraction' must be a number or null"),
     ("dbca analyze", "--split", "null", ":1: expected a JSON object"),
     ("prep cgps-prefix", "--token-map", "null", ":1: expected a JSON object"),
     ("eval report", "--in", "null", ":1: expected a JSON object"),
@@ -720,6 +742,37 @@ def test_json_input_types_checked(name, option, content, message, cli_inputs, tm
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("compgen: error:") and f"{bad}{message}" in err
+
+
+def test_eval_report_refuses_a_nan_cell(tmp_path, capsys):
+    # A NaN mean printed as nan, and max() of its column, which took the
+    # NaN that came first, left the other model's 50.0 without bold.
+    cell = {"variance": 0.0, "variance_kind": "stdev", "n_replicas": 1}
+    infile, out = tmp_path / "results.json", tmp_path / "table.md"
+    infile.write_text(json.dumps({"A": {"s": {"mean": math.nan, **cell}},
+                                  "B": {"s": {"mean": 0.5, **cell}}}, indent=1))
+    assert run(["eval", "report", "--in", str(infile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"compgen: error: {infile}:3: 'mean' must be a number\n"
+    assert not out.exists()
+    infile.write_text(json.dumps({"A": {"s": {"mean": 0.25, **cell}},
+                                  "B": {"s": {"mean": 0.5, **cell}}}))
+    assert run(["eval", "report", "--in", str(infile), "--out", str(out)]) == 0
+    assert "| A | 25.0 |\n| B | **50.0** |" in out.read_text()
+
+
+@pytest.mark.parametrize("train,test,side", [
+    ([], ["a", "b", "c", "d", "e"], "train"), (["a", "b"], [], "test"), ([], [], "train")])
+def test_dbca_analyze_refuses_a_one_sided_split(train, test, side, cli_inputs, tmp_path,
+                                               capsys):
+    split, out = tmp_path / "split.json", tmp_path / "out.json"
+    split.write_text('{"spec": {"kind": "released"},\n'
+                     f' "train": {json.dumps(train)},\n "test": {json.dumps(test)}\n}}\n')
+    assert run(["dbca", "analyze", "--in", cli_inputs["dataset"], "--split", str(split),
+                "--out", str(out)]) == 2
+    line = 2 if side == "train" else 3
+    assert capsys.readouterr().err == (
+        f"compgen: error: {split}:{line}: released split leaves no {side} examples\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["split.json"]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

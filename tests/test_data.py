@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import math
 import pickle
 import tempfile
 import tracemalloc
@@ -462,6 +463,17 @@ def nested_meta(depth):
     for _ in range(depth - 1):
         meta = {"k": meta, "v": 0}
     return meta
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_meta_holding_nan_or_an_infinity_is_not_saved(value, tmp_path):
+    path = tmp_path / "d.jsonl"
+    examples = [data.Example("ok", ("x",), ("X",)),
+                data.Example("bad", ("x",), ("X",), None, {"k": [1, value]})]
+    with pytest.raises(data.DataError, match="^example 'bad' holds NaN or an infinity, "
+                       "which JSON does not have$"):
+        data.save_dataset(examples, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_meta_at_the_depth_bound_round_trips(tmp_path):

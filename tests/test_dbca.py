@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -84,9 +86,22 @@ def loaded_dataset(scan_dataset, tmp_path_factory):
     return data.load_dataset(path)
 
 
+def id_rows(counters):
+    """Each Counter as a row, numbered together by one dbca._numbering."""
+    row = dbca._numbering()
+    return [row(counts) for counts in counters]
+
+
+def states(atom_rows, compound_rows, train_idx, test_idx, atom_alpha=dbca.DEFAULT_ATOM_ALPHA,
+           compound_alpha=dbca.DEFAULT_COMPOUND_ALPHA):
+    """The atom and the compound _Divergence of rows train_idx against rows test_idx."""
+    return (dbca._Divergence(atom_rows, train_idx, test_idx, atom_alpha),
+            dbca._Divergence(compound_rows, train_idx, test_idx, compound_alpha))
+
+
 @pytest.mark.parametrize("which", ["enumerated", "loaded"])
 def test_extraction_keeps_the_recursive_key_order(scan_dataset, loaded_dataset, which):
-    # _id_rows numbers keys in first-seen order, and the search's float sums
+    # _rows numbers keys in first-seen order, and the search's float sums
     # follow that numbering: the order matters, not only the counts.
     examples = scan_dataset if which == "enumerated" else loaded_dataset
     for ex in examples:
@@ -94,10 +109,28 @@ def test_extraction_keeps_the_recursive_key_order(scan_dataset, loaded_dataset, 
             list(reference_atoms(ex.derivation).items())
         assert list(dbca.extract_compounds(ex.derivation).items()) == \
             list(reference_compounds(ex.derivation).items())
-    atom_rows, compound_rows = dbca._example_rows(examples)
-    assert atom_rows == dbca._id_rows(dbca.extract_atoms(ex.derivation) for ex in examples)
-    assert compound_rows == dbca._id_rows(
-        dbca.extract_compounds(ex.derivation) for ex in examples)
+    atom_rows, compound_rows = dbca._rows(zip(examples))
+    assert atom_rows == id_rows(dbca.extract_atoms(ex.derivation) for ex in examples)
+    assert compound_rows == id_rows(dbca.extract_compounds(ex.derivation) for ex in examples)
+
+
+# Bytes that the MCD rows of one SCAN example keep, measured by tracemalloc
+# of _rows(zip(dataset)): about 204 for the enumerated set and for a loaded one.
+ROW_BYTES_PER_EXAMPLE = 260
+
+
+@pytest.mark.parametrize("which", ["enumerated", "loaded"])
+def test_row_bytes_per_scan_example(scan_dataset, loaded_dataset, which):
+    examples = scan_dataset if which == "enumerated" else loaded_dataset
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = dbca._rows(zip(examples))
+        size = tracemalloc.get_traced_memory()[0] / len(examples)
+    finally:
+        tracemalloc.stop()
+    del rows
+    assert size < ROW_BYTES_PER_EXAMPLE
 
 
 def reference_measure(train, test):
@@ -107,8 +140,7 @@ def reference_measure(train, test):
         for ex in examples:
             atoms[side].update(reference_atoms(ex.derivation))
             compounds[side].update(reference_compounds(ex.derivation))
-    return dbca._report(dbca._id_rows(atoms), dbca._id_rows(compounds), [0], [1],
-                        dbca.DEFAULT_ATOM_ALPHA, dbca.DEFAULT_COMPOUND_ALPHA,
+    return dbca._report(*states(id_rows(atoms), id_rows(compounds), [0], [1]),
                         len(train), len(test))
 
 
@@ -137,8 +169,7 @@ def test_extraction_and_measure_of_a_deep_trace():
     compounds = [Counter({"unary(unary)": 9_998, "unary(leaf)": 1}),
                  Counter({"unary(unary)": 4_998, "unary(leaf)": 1,
                           "other(other)": 1, "other(leaf)": 1})]
-    expected = dbca._report(dbca._id_rows(atoms), dbca._id_rows(compounds), [0], [1],
-                            dbca.DEFAULT_ATOM_ALPHA, dbca.DEFAULT_COMPOUND_ALPHA, 1, 2)
+    expected = dbca._report(*states(id_rows(atoms), id_rows(compounds), [0], [1]), 1, 2)
     assert dbca.measure(examples[:1], examples[1:]) == expected
 
 
@@ -243,7 +274,7 @@ def test_incremental_divergence_matches_divergence(scan_dataset):
     train_idx, test_idx = order[:320], order[320:]
     for extract, alpha in ((dbca.extract_atoms, dbca.DEFAULT_ATOM_ALPHA),
                            (dbca.extract_compounds, dbca.DEFAULT_COMPOUND_ALPHA)):
-        rows = dbca._id_rows(extract(ex.derivation) for ex in sample)
+        rows = id_rows(extract(ex.derivation) for ex in sample)
         state = dbca._Divergence(rows, train_idx, test_idx, alpha)
         train, test = list(train_idx), list(test_idx)
         for _ in range(300):
@@ -265,7 +296,7 @@ def test_incremental_divergence_matches_divergence(scan_dataset):
 
 def test_incremental_proposal_leaves_state_unchanged(scan_dataset):
     sample = _small_sample(scan_dataset)
-    rows = dbca._id_rows(dbca.extract_compounds(ex.derivation) for ex in sample)
+    rows = id_rows(dbca.extract_compounds(ex.derivation) for ex in sample)
     state = dbca._Divergence(rows, range(300), range(300, 400), 0.1)
     assert math.fsum(state.terms) == state.chernoff_sum
     before = (list(state.train), list(state.test), list(state.terms),
@@ -313,19 +344,42 @@ def test_mcd_repair_phase_is_pinned(scan_dataset):
 @pytest.mark.parametrize("bound", [0.02, 0.001])
 def test_mcd_report_is_a_recount_of_the_rows(scan_dataset, bound):
     """The report read from the search state equals _report's fresh count
-    of the final partition, bit for bit: for the pinned sample split and
-    for the one that runs the repair phase."""
+    of the final partition, and measure of it, bit for bit: for the pinned
+    sample split and for the one that runs the repair phase."""
     sample = random.Random(3).sample(scan_dataset, 400)
     result, report = dbca.build_mcd_split(sample, seed=5, iterations=300,
                                           max_proposals=5000, max_atom_divergence=bound)
-    atom_rows, compound_rows = dbca._example_rows(sample)
+    atom_rows, compound_rows = dbca._rows(zip(sample))
     index = {ex.id: i for i, ex in enumerate(sample)}
-    recount = dbca._report(atom_rows, compound_rows,
-                           [index[i] for i in result.train_ids],
-                           [index[i] for i in result.test_ids],
-                           report.atom_alpha, report.compound_alpha,
+    recount = dbca._report(*states(atom_rows, compound_rows,
+                                   [index[i] for i in result.train_ids],
+                                   [index[i] for i in result.test_ids],
+                                   report.atom_alpha, report.compound_alpha),
                            len(result.train_ids), len(result.test_ids))
     assert report == recount
+    assert dbca.measure([sample[index[i]] for i in result.train_ids],
+                        [sample[index[i]] for i in result.test_ids]) == report
+
+
+def test_report_leaves_the_state_unchanged(scan_dataset):
+    """_report of a state whose running sums have moved through commits
+    equals the report of a fresh count, and changes nothing in the state."""
+    rows = dbca._rows(zip(_small_sample(scan_dataset)))
+    train, test = list(range(320)), list(range(320, 400))
+    atoms, comps = states(*rows, train, test)
+    rng = random.Random(4)
+    for _ in range(200):
+        ti, si = rng.randrange(len(train)), rng.randrange(len(test))
+        for state in (atoms, comps):
+            state.propose(train[ti], test[si])
+            state.commit()
+        train[ti], test[si] = test[si], train[ti]
+    before = [(s.chernoff_sum, list(s.terms), list(s.train), list(s.test),
+               s.train_total, s.test_total) for s in (atoms, comps)]
+    report = dbca._report(atoms, comps, len(train), len(test))
+    assert [(s.chernoff_sum, list(s.terms), list(s.train), list(s.test),
+             s.train_total, s.test_total) for s in (atoms, comps)] == before
+    assert report == dbca._report(*states(*rows, train, test), len(train), len(test))
 
 
 def test_mcd_deterministic(scan_dataset):
