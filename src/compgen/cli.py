@@ -22,7 +22,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from pathlib import Path
 
 from . import __version__, data, dbca, evaluation, scan, splits, sparql
 
@@ -72,17 +71,17 @@ def _write_manifest(args, inputs: dict) -> None:
         "inputs": {str(options[k]): sha256 for k, sha256 in inputs.items()},
         "outputs": {str(args.out): _sha256(args.out)},
     }
-    Path(str(args.out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    data.write_file(f"{args.out}.manifest.json",
+                    [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 @contextmanager
 def _naming(path, error):
-    """Prefix an error of type error, about the records of a file, with its path."""
+    """Prefix an error of the type(s) error, about the records of a file, with its path."""
     try:
         yield
     except error as exc:
-        raise error(f"{path}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _scan_generate(args):
@@ -100,9 +99,11 @@ def _dbca_analyze(args):
     try:
         train = [by_id[i] for i in split.train_ids]
         test = [by_id[i] for i in split.test_ids]
-    except KeyError as exc:
-        raise data.DataError(f"{args.split}: split references unknown id "
-                             f"{exc.args[0]!r}") from None
+    except KeyError as exc:  # the split file is read again to find the id's line
+        doc, unknown = data.JsonFile(args.split), exc.args[0]
+        ids = doc.value["train" if unknown in split.train_ids else "test"]
+        raise doc.error(f"split references unknown id {unknown!r}, not in {args.infile}",
+                        parent=ids, index=ids.index(unknown)) from None
     with _naming(args.infile, dbca.MissingTraceError):
         report = dbca.measure(train, test, args.atom_alpha, args.compound_alpha)
     return json.dumps(asdict(report), indent=2) + "\n"
@@ -132,7 +133,8 @@ def _prep_cgps_prefix(args):
 def _eval_score(args):
     golds = data.load_dataset(args.gold)
     preds = data.load_predictions(args.pred)
-    with _naming(args.pred, evaluation.PredictionError):
+    with (_naming(args.gold, evaluation.UnknownIdError),
+          _naming(args.pred, evaluation.PredictionError)):
         per_replica = evaluation.score_replicas(
             preds, golds, relax_oov_braces=args.relax_braces,
             oov_token=args.oov_token, clause_set=args.clause_set)
@@ -167,7 +169,8 @@ def _eval_length_breakdown(args):
     golds = data.load_dataset(args.gold)
     train = data.load_dataset(args.train)
     preds = data.load_predictions(args.pred)
-    with _naming(args.pred, evaluation.PredictionError):
+    with (_naming(args.gold, evaluation.UnknownIdError),
+          _naming(args.pred, evaluation.PredictionError)):
         buckets = evaluation.length_breakdown(preds, golds, train,
                                               args.bucket_width, args.axis)
     lines = [",".join(f.name for f in fields(evaluation.LengthBucket))]
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand that saves build(dataset, args) to --out."""
         def run_split(args):
             dataset = data.load_dataset(args.infile)
-            with _naming(args.infile, dbca.MissingTraceError):
+            with _naming(args.infile, (dbca.MissingTraceError, splits.EmptySideError)):
                 splits.save_split(build(dataset, args), args.out)
         p = leaf(split_sub, name, run_split, out=True)
         p.add_argument("--in", dest="infile", required=True)
@@ -321,7 +324,7 @@ def run(argv) -> int:
             sys.stdout.write(text)
             return 0
         if text is not None:
-            Path(args.out).write_text(text, encoding="utf-8")
+            data.write_file(args.out, [text])
         _write_manifest(args, inputs)
     except (ValueError, OSError) as exc:
         print(f"compgen: error: {exc}", file=sys.stderr)

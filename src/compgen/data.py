@@ -43,6 +43,8 @@ def _not_json(constant: str):
 
 
 _DECODER = json.JSONDecoder(parse_constant=_not_json)
+# Escaped backslashes, surrogate pairs and (group 1) lone surrogates, which UTF-8 cannot hold.
+_SURROGATE_ESCAPE = re.compile(r"\\\\|\\u[dD][89abAB]..\\u[dD][c-fC-F]..|(\\u[dD][89a-fA-F]..)")
 _TSV_SUFFIXES = (".tsv", ".txt")  # a dataset file with another suffix is jsonl
 # Derivation levels (512 nested JSON arrays) and meta levels (nested JSON
 # objects and arrays) that a saved example may have: well within what a load reads.
@@ -71,6 +73,7 @@ class JsonFile:
         try:
             self.text = Path(path).read_text(encoding="utf-8")
             self.value = json.loads(self.text)
+            _refuse_lone_surrogate(self.text)
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc) from exc
         except json.JSONDecodeError as exc:
@@ -304,10 +307,19 @@ def _mistyped(line_keys: Mapping[str, str], key: str) -> TypeError:
     return TypeError(f"{key!r} must be {line_keys[key]}")
 
 
+def _refuse_lone_surrogate(text: str) -> None:
+    """A JSONDecodeError at the first lone surrogate escape of decoded JSON text."""
+    if "\\" in text and ("\\ud" in text or "\\uD" in text):  # only such an escape makes one
+        for m in _SURROGATE_ESCAPE.finditer(text):
+            if m[1]:
+                raise json.JSONDecodeError(f"{m[1]} is an unpaired surrogate", text, m.start())
+
+
 def _json_object(line: str) -> dict:
     obj = _DECODER.decode(line)
     if type(obj) is not dict:
         raise TypeError("expected a JSON object")
+    _refuse_lone_surrogate(line)
     return obj
 
 
@@ -444,47 +456,54 @@ def load_dataset(path) -> list[Example]:
     return read_lines(path, example, "examples")
 
 
-def save_dataset(examples: Iterable[Example], path) -> None:
-    """Write tsv (input and output only) or jsonl, by suffix as load_dataset
-    reads.  An example that load_dataset could not read back is a DataError
-    naming it: one with a derivation or a meta deeper than MAX_SAVED_DEPTH
-    levels, or otherwise nested too deeply for JSON, or holding NaN or an
-    infinity.  The lines go to <path>.partial, which replaces path only once
-    all are written, so an error leaves path as it was and no partial file."""
-    tsv = Path(path).suffix in _TSV_SUFFIXES
+def write_file(path, chunks: Iterable[str]) -> None:
+    """Write chunks to <path>.partial as UTF-8, then rename it onto path:
+    an error leaves path as it was, and no partial file."""
     partial = f"{path}.partial"
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            for ex in examples:
-                if tsv:
-                    fh.write(" ".join(ex.input) + "\t" + " ".join(ex.output) + "\n")
-                    continue
-                obj = {"id": ex.id, "input": ex.input, "output": ex.output}
-                if ex.derivation is not None:
-                    obj["derivation"], depth = _jsonable(ex.derivation)
-                    if depth > MAX_SAVED_DEPTH:
-                        raise DataError(f"example {ex.id!r} has a derivation {depth} levels "
-                                        f"deep; a saved one may have at most {MAX_SAVED_DEPTH}")
-                meta = ex.meta._items  # the encoder only reads it
-                if meta:
-                    obj["meta"] = meta
-                    if _nested_deeper_than(meta, MAX_SAVED_DEPTH):
-                        raise DataError(f"example {ex.id!r} has a meta more than "
-                                        f"{MAX_SAVED_DEPTH} levels deep; a saved one "
-                                        f"may have at most {MAX_SAVED_DEPTH}")
-                try:
-                    line = _ENCODER.encode(obj)
-                except RecursionError:
-                    raise DataError(f"example {ex.id!r} is nested too deeply "
-                                    "for JSON") from None
-                except ValueError:
-                    raise DataError(f"example {ex.id!r} holds NaN or an infinity, "
-                                    "which JSON does not have") from None
-                fh.write(line + "\n")
+            fh.writelines(chunks)
         os.replace(partial, path)
     except BaseException:
         Path(partial).unlink(missing_ok=True)
         raise
+
+
+def save_dataset(examples: Iterable[Example], path) -> None:
+    """Write tsv (input and output only) or jsonl, by suffix as load_dataset
+    reads, through write_file.  An example load_dataset could not read back
+    is a DataError naming it: one with a derivation or a meta deeper than
+    MAX_SAVED_DEPTH levels, too deep for JSON, or holding NaN or infinity."""
+    tsv = Path(path).suffix in _TSV_SUFFIXES
+
+    def lines():
+        for ex in examples:
+            if tsv:
+                yield " ".join(ex.input) + "\t" + " ".join(ex.output) + "\n"
+                continue
+            obj = {"id": ex.id, "input": ex.input, "output": ex.output}
+            if ex.derivation is not None:
+                obj["derivation"], depth = _jsonable(ex.derivation)
+                if depth > MAX_SAVED_DEPTH:
+                    raise DataError(f"example {ex.id!r} has a derivation {depth} levels "
+                                    f"deep; a saved one may have at most {MAX_SAVED_DEPTH}")
+            meta = ex.meta._items  # the encoder only reads it
+            if meta:
+                obj["meta"] = meta
+                if _nested_deeper_than(meta, MAX_SAVED_DEPTH):
+                    raise DataError(f"example {ex.id!r} has a meta more than "
+                                    f"{MAX_SAVED_DEPTH} levels deep; a saved one "
+                                    f"may have at most {MAX_SAVED_DEPTH}")
+            try:
+                line = _ENCODER.encode(obj)
+            except RecursionError:
+                raise DataError(f"example {ex.id!r} is nested too deeply for JSON") from None
+            except ValueError:
+                raise DataError(f"example {ex.id!r} holds NaN or an infinity, "
+                                "which JSON does not have") from None
+            yield line + "\n"
+
+    write_file(path, lines())
 
 
 def load_predictions(path) -> list[PredictionRecord]:
@@ -507,11 +526,8 @@ def load_predictions(path) -> list[PredictionRecord]:
 
 
 def save_predictions(records: Iterable[PredictionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {"id": rec.example_id, "prediction": list(rec.tokens),
-                   "replica": rec.replica}
-            fh.write(_ENCODER.encode(obj) + "\n")
+    write_file(path, (_ENCODER.encode({"id": rec.example_id, "prediction": list(rec.tokens),
+                                       "replica": rec.replica}) + "\n" for rec in records))
 
 
 def load_token_map(path) -> dict[str, tuple[str, ...]]:

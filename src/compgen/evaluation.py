@@ -34,6 +34,10 @@ class PredictionError(EvalError):
     """An error about the prediction records, not about an option."""
 
 
+class UnknownIdError(PredictionError):
+    """A prediction for an id that no gold example has."""
+
+
 @dataclass(frozen=True)
 class AggregateStat:
     """Replica accuracies aggregated; `eval score` writes these fields, by
@@ -103,7 +107,7 @@ def _matches(replicas: Iterable[Iterable[PredictionRecord]],
         tokens = {}
         for rec in predictions:
             if rec.example_id not in golds:
-                raise PredictionError(f"prediction for unknown id {rec.example_id!r}")
+                raise UnknownIdError(f"prediction for unknown id {rec.example_id!r}")
             if rec.example_id in tokens:
                 raise PredictionError(f"multiple predictions for id {rec.example_id!r}")
             tokens[rec.example_id] = rec.tokens

@@ -6,15 +6,18 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .data import Example, JsonFile
+from .data import Example, JsonFile, write_file
 from .scan import HOLDOUT_PRIMITIVES, PRIMITIVES, ScanParseError, parse_command
 
 
 class SplitError(ValueError):
     pass
+
+
+class EmptySideError(SplitError):
+    """A dataset too small to split, or whose split leaves one side empty."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ def save_split(result: SplitResult, path) -> None:
     the ids as "train" and "test", and the stats."""
     doc = {"spec": asdict(result.spec), "train": list(result.train_ids),
            "test": list(result.test_ids), "stats": result.stats}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_file(path, [json.dumps(doc, indent=2) + "\n"])
 
 
 def load_split(path) -> SplitResult:
@@ -66,7 +69,8 @@ def split_result(spec: SplitSpec, train_ids: Sequence[str], test_ids: Sequence[s
                  **stats) -> SplitResult:
     """The record of a split of any kind: stats train_size, test_size, then the kind's own."""
     if not (train_ids and test_ids):
-        raise SplitError(f"{spec.kind} split leaves no {'test' if train_ids else 'train'} examples")
+        raise EmptySideError(f"{spec.kind} split leaves no "
+                             f"{'test' if train_ids else 'train'} examples")
     return SplitResult(spec, tuple(train_ids), tuple(test_ids),
                        {"train_size": len(train_ids), "test_size": len(test_ids), **stats})
 
@@ -81,7 +85,7 @@ def random_partition(n: int, rng: random.Random, train_fraction: float) -> tuple
     """The indices 0..n-1 shuffled by rng and cut into (train, test) at
     round(train_fraction * n), within [1, n - 1] so that neither is empty."""
     if n < 2:
-        raise SplitError(f"need at least two examples, got {n}")
+        raise EmptySideError(f"need at least two examples, got {n}")
     if not 0 < train_fraction < 1:
         raise SplitError(f"train_fraction must be in (0, 1), got {train_fraction}")
     order = list(range(n))

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -70,7 +71,7 @@ def test_split_random_needs_two_examples(tmp_path, small_dataset, capsys):
     one = tmp_path / "one.jsonl"
     one.write_text(small_dataset.read_text().splitlines()[0] + "\n")
     assert run(["split", "random", "--in", str(one), "--out", str(tmp_path / "s.json")]) == 2
-    assert "need at least two examples" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"compgen: error: {one}: need at least two examples, got 1\n"
 
 
 def test_scan_interpret(tmp_path):
@@ -159,7 +160,7 @@ def test_one_sided_split_exits_2_and_writes_nothing(commands, argv, side, tmp_pa
     out = tmp_path / "split.json"
     assert run(["split", *argv, "--in", str(dataset), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"compgen: error: {argv[0]}_holdout split leaves no {side} examples\n")
+        f"compgen: error: {dataset}: {argv[0]}_holdout split leaves no {side} examples\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["jump.jsonl"]
 
 
@@ -936,3 +937,127 @@ def test_each_stage_accepts_what_the_stage_before_writes(
                           "--out", str(work / f"breakdown_{kind}.csv"))
         for path in work.glob("*.json"):
             _strict_json(path)
+
+
+def unwritable(*args, **kwargs):
+    return "\ud800\n"  # a lone surrogate: no UTF-8 file can hold it
+
+
+# A failure while each kind of output is written: a text output, a split
+# file and a manifest (of `eval curve`, whose output is written first).
+@pytest.mark.parametrize("case", ["eval curve", "split random", "manifest"])
+def test_a_failed_write_leaves_the_output_as_it_was(case, cli_inputs, tmp_path, monkeypatch,
+                                                    capsys):
+    out = tmp_path / "out"
+    target = tmp_path / "out.manifest.json" if case == "manifest" else out
+    target.write_bytes(b"old\n")
+    patched = {"eval curve": (evaluation, "divergence_curve", unwritable),
+               "split random": (splits, "json", types.SimpleNamespace(dumps=unwritable)),
+               "manifest": (cli, "json", types.SimpleNamespace(dumps=unwritable))}[case]
+    monkeypatch.setattr(*patched)
+    name = "eval curve" if case == "manifest" else case
+    assert run(leaf_argv(name, cli_inputs) + ["--out", str(out)]) == 2
+    assert "surrogates not allowed" in capsys.readouterr().err
+    assert target.read_bytes() == b"old\n"
+    assert not list(tmp_path.glob("*.partial"))
+
+
+def test_an_output_into_a_missing_directory_names_its_partial_file(cli_inputs, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "missing" / "curve.csv"
+    assert run(leaf_argv("eval curve", cli_inputs) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"compgen: error: [Errno 2] No such file or directory: '{out}.partial'\n")
+
+
+def test_a_lone_surrogate_in_a_dataset_exits_2_naming_its_line(tmp_path, capsys):
+    path, out = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+    path.write_text('{"id": "a", "input": "jump", "output": "JUMP \\ud800"}\n'
+                    '{"id": "b", "input": "walk", "output": "WALK"}\n')
+    assert run(["prep", "cgps-prefix", "--identity", "--in", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"compgen: error: {path}:1: \\ud800 is an unpaired surrogate")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
+
+def test_a_lone_surrogate_in_curve_points_writes_no_out(tmp_path, capsys):
+    points, out = tmp_path / "c.json", tmp_path / "keep.csv"
+    points.write_text('[{"divergence": 0.1, "accuracy": 0.5, "label": "a\\ud800"}]\n')
+    out.write_text("old\n")
+    assert run(["eval", "curve", "--in", str(points), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"compgen: error: {points}:1: \\ud800 is an unpaired surrogate\n")
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "keep.csv"]
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_dbca_analyze_names_the_line_of_an_unknown_id(side, cli_inputs, tmp_path, capsys):
+    ids = [ex.id for ex in data.load_dataset(cli_inputs["dataset"])[:4]]
+    train, test = ids[:2], ids[2:]
+    (train if side == "train" else test).append("nope")
+    split, out = tmp_path / "sp.json", tmp_path / "out.json"
+    splits.save_split(splits.split_result(splits.SplitSpec("length"), train, test), split)
+    line = split.read_text().splitlines().index('    "nope"') + 1
+    assert line > 10
+    assert run(["dbca", "analyze", "--in", cli_inputs["dataset"], "--split", str(split),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"compgen: error: {split}:{line}: split references unknown id 'nope', "
+        f"not in {cli_inputs['dataset']}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "length-breakdown"])
+def test_a_prediction_for_an_unknown_id_names_both_files(command, tmp_path, capsys):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"id": "1", "input": ["a"], "output": ["A"]}) + "\n")
+    pred.write_text(json.dumps({"id": "9", "prediction": ["A"]}) + "\n")
+    assert run(["eval", command, "--gold", str(gold), "--pred", str(pred)]
+               + ["--train", str(gold)] * (command == "length-breakdown")) == 2
+    assert capsys.readouterr().err == (
+        f"compgen: error: {gold}: {pred}: prediction for unknown id '9'\n")
+
+
+# Byte-level mutations of an input file: (kind, position, source, length, token).
+FUZZ_TOKENS = [b"1e999", b"\\ud800", b"\\udc00", b"[[[[", b"]", b"}", b'"', b"\\", b",",
+               b"\n", b"\t", b"null", b"-0", b"NaN", b"\xff", b"\xe2\x82"]
+MUTATIONS = st.lists(st.tuples(st.sampled_from(["delete", "truncate", "splice", "insert"]),
+                               st.integers(0, 2**20), st.integers(0, 2**20),
+                               st.integers(1, 32), st.sampled_from(FUZZ_TOKENS)),
+                     min_size=1, max_size=3)
+
+
+def mutate(content: bytes, mutations) -> bytes:
+    """content with each mutation applied in turn, its positions taken modulo
+    the length: delete length bytes, truncate, splice in a copy of length
+    bytes from source, or insert the token."""
+    for kind, at, source, length, token in mutations:
+        at, source = at % (len(content) + 1), source % (len(content) + 1)
+        content = {"delete": lambda: content[:at] + content[at + length:],
+                   "truncate": lambda: content[:at],
+                   "splice": lambda: content[:at] + content[source:source + length] + content[at:],
+                   "insert": lambda: content[:at] + token + content[at:]}[kind]()
+    return content
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(target=st.sampled_from(BAD_INPUTS), mutations=MUTATIONS)
+def test_a_mutated_input_exits_0_or_2_naming_it_and_leaves_out_as_it_was(
+        target, mutations, cli_inputs):
+    name, option = target
+    argv = leaf_argv(name, cli_inputs)
+    original = Path(argv[argv.index(option) + 1]).read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp, "bad.in"), Path(tmp, "out")
+        bad.write_bytes(mutate(original, mutations))
+        out.write_bytes(b"old\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(leaf_argv(name, cli_inputs, **{option: bad}) + ["--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("compgen: error: ")
+            assert err.getvalue().count("\n") == 1 and str(bad) in err.getvalue()
+            assert out.read_bytes() == b"old\n"
+        assert not list(Path(tmp).glob("*.partial"))

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import pickle
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -634,3 +635,59 @@ def test_json_file_errors_name_the_line_of_the_value(tmp_path):
     path.write_text('{"a": 1,\n "b": }')
     with pytest.raises(data.DataError, match=f"^{path}:2: Expecting value$"):
         data.JsonFile(path)
+
+
+def u(*codes: str) -> str:
+    """The JSON escapes backslash-u of the given hex codes, as a file holds them."""
+    return "".join(chr(92) + "u" + code for code in codes)
+
+
+# Raw JSON string contents and the lone surrogate escape in each; an
+# escaped backslash (two backslashes) does not start an escape.
+@pytest.mark.parametrize("raw,lone", [
+    ("JUMP " + u("d800"), u("d800")), (u("dc00"), u("dc00")),
+    (u("D800", "D800", "DC00"), u("D800")), (u("d83d", "de00") + " " + u("dfff"), u("dfff")),
+    (u("dc00", "d800"), u("dc00")), (chr(92) * 2 + u("d800"), u("d800")),
+    (u("dbff") + "x", u("dbff"))])
+def test_a_lone_surrogate_is_refused_at_its_line(raw, lone, tmp_path):
+    lines = tmp_path / "d.jsonl"
+    lines.write_text(_with(EXAMPLE_LINE) + '\n{"id": "b", "input": "x", "output": "%s"}\n' % raw)
+    message = re.escape(f"{lone} is an unpaired surrogate")
+    with pytest.raises(data.DataError, match=rf"^{lines}:2: {message}: line 1 column "):
+        data.load_dataset(lines)
+    lines.write_text('{"id": "a", "prediction": "%s"}\n' % raw)
+    with pytest.raises(data.DataError, match=rf"^{lines}:1: {message}"):
+        data.load_predictions(lines)
+    doc = tmp_path / "f.json"
+    doc.write_text('{"a": 1,\n "b": ["%s"]}' % raw)
+    with pytest.raises(data.DataError, match=rf"^{doc}:2: {message}$"):
+        data.JsonFile(doc)
+
+
+@pytest.mark.parametrize("raw,text", [
+    (u("d83d", "de00"), "\U0001f600"), (u("D83D", "DE00"), "\U0001f600"),
+    ("\U0001f600", "\U0001f600"), (chr(92) * 2 + "ud800", chr(92) + "ud800"),
+    (u("d7ff", "e000"), "\ud7ff\ue000"), (u("0064") + "800", "d800")])
+def test_a_surrogate_pair_and_escapes_like_one_load(raw, text, tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"id": "a", "input": "x", "output": "%s"}\n' % raw, encoding="utf-8")
+    examples = data.load_dataset(path)
+    assert examples[0].output == (text,)
+    data.save_dataset(examples, path)
+    assert data.load_dataset(path) == examples
+    path.write_text('["%s"]' % raw, encoding="utf-8")
+    assert data.JsonFile(path).value == [text]
+
+
+def test_writers_leave_the_old_file_when_a_chunk_cannot_be_written(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text("old\n")
+    records = [data.PredictionRecord("a", ("X",)), data.PredictionRecord("b", ("\ud800",))]
+    with pytest.raises(UnicodeEncodeError):
+        data.save_predictions(records, path)
+    with pytest.raises(UnicodeEncodeError):
+        data.write_file(path, ["new\n", "\udc00"])
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
+    data.write_file(path, iter(["a", "b\n"]))
+    assert path.read_text() == "ab\n"
