@@ -59,8 +59,10 @@ def _input_files(options) -> dict:
     return files
 
 
-def _write_manifest(args, inputs: dict) -> None:
-    """inputs: the sha256 of each input file by option, as the run read it."""
+def _manifest(args, inputs: dict, out_sha256: str) -> str:
+    """The manifest text of a run; inputs: the sha256 of each input file by
+    option, as the run read it.  Text that UTF-8 cannot hold is refused here,
+    before the caller writes any file."""
     options = vars(args)
     manifest = {
         "tool": "compgen",
@@ -69,10 +71,11 @@ def _write_manifest(args, inputs: dict) -> None:
         "config": {k: v for k, v in sorted(options.items())
                    if k not in _NOT_CONFIG and k not in inputs},
         "inputs": {str(options[k]): sha256 for k, sha256 in inputs.items()},
-        "outputs": {str(args.out): _sha256(args.out)},
+        "outputs": {str(args.out): out_sha256},
     }
-    data.write_file(f"{args.out}.manifest.json",
-                    [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    text.encode("utf-8")  # a UnicodeEncodeError now, not from write_file
+    return text
 
 
 @contextmanager
@@ -323,9 +326,12 @@ def run(argv) -> int:
         if args.out is None:
             sys.stdout.write(text)
             return 0
-        if text is not None:
+        if text is None:  # the subcommand wrote --out
+            manifest = _manifest(args, inputs, _sha256(args.out))
+        else:  # the manifest is made first: one that fails leaves --out as it was
+            manifest = _manifest(args, inputs, hashlib.sha256(text.encode("utf-8")).hexdigest())
             data.write_file(args.out, [text])
-        _write_manifest(args, inputs)
+        data.write_file(f"{args.out}.manifest.json", [manifest])
     except (ValueError, OSError) as exc:
         print(f"compgen: error: {exc}", file=sys.stderr)
         return 2

@@ -186,19 +186,30 @@ class DerivationTrace:
 
 def _jsonable(trace: DerivationTrace) -> tuple[list, int]:
     """trace.to_jsonable() and the depth of trace (1 for a leaf).  Each node's
-    list fills in order from an explicit stack of (children, list, level)."""
+    list fills in order; the walk goes on to the only child of a one-child
+    node in a loop, and the children of a branching node wait on an explicit
+    stack of (children, list, level)."""
     root = [trace.rule, []]
-    stack, depth = [(trace.children, root[1], 2)], 1
-    while stack:
+    stack, depth = [], 1
+    children, out, level = trace.children, root[1], 2
+    while True:
+        if children:
+            if level > depth:
+                depth = level
+            if len(children) == 1:
+                child = children[0]
+                item = [child.rule, []]
+                out.append(item)
+                children, out, level = child.children, item[1], level + 1
+                continue
+            for child in children:
+                item = [child.rule, []]
+                out.append(item)
+                if child.children:
+                    stack.append((child.children, item[1], level + 1))
+        if not stack:
+            return root, depth
         children, out, level = stack.pop()
-        if children and level > depth:
-            depth = level
-        for child in children:
-            item = [child.rule, []]
-            out.append(item)
-            if child.children:
-                stack.append((child.children, item[1], level + 1))
-    return root, depth
 
 
 def _nested_deeper_than(value, bound: int) -> bool:
@@ -222,16 +233,28 @@ def _interned_trace(obj, memo: dict) -> DerivationTrace:
     rule to the leaf.  The children are interned first and memo keeps them
     alive, so their ids stay unique; the trees are frozen, so sharing them
     is safe.  A memo hit has a checked rule: a new node's rule goes through
-    sys.intern, which rejects one that is not a string."""
-    rule, children = obj
-    if type(children) is not list:
-        raise TypeError("children must be a list")
-    kids = tuple([_interned_trace(c, memo) for c in children])
+    sys.intern, which rejects one that is not a string.  A chain of
+    one-child nodes is walked down in a loop and built back up from its
+    rules, innermost first; only a node of two or more children recurses."""
+    chain = []  # the rules of the one-child nodes above obj, outermost first
+    while True:
+        rule, children = obj
+        if type(children) is not list:
+            raise TypeError("children must be a list")
+        if len(children) != 1:
+            break
+        chain.append(rule)
+        obj = children[0]
+    kids = tuple([_interned_trace(c, memo) for c in children]) if children else ()
     key = (rule, *map(id, kids)) if kids else rule
-    node = memo.get(key)
-    if node is None:
-        node = memo[key] = DerivationTrace(intern(rule), kids)
-    return node
+    while True:
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = DerivationTrace(intern(rule), kids)
+        if not chain:
+            return node
+        rule, kids = chain.pop(), (node,)
+        key = (rule, id(node))
 
 
 class Meta(Mapping):
@@ -538,7 +561,8 @@ def load_token_map(path) -> dict[str, tuple[str, ...]]:
     return {k: tuple(v) for k, v in zip(doc.value, lists)}
 
 
-_PLACEHOLDER_RE = re.compile(r"^<p\d+>$")
+# A placeholder token, matched whole (fullmatch) and with ASCII digits only.
+_PLACEHOLDER_RE = re.compile(r"<p[0-9]+>")
 
 
 class AlreadyPrefixedError(DataError):
@@ -570,7 +594,7 @@ def cgps_prefix(example: Example, token_map: Optional[Mapping[str, Sequence[str]
     prefix_len overrides the per-example count (used for the fixed global
     length variant).  The output tokens are never altered.
     """
-    if any(_PLACEHOLDER_RE.match(tok) for tok in example.input):
+    if any(_PLACEHOLDER_RE.fullmatch(tok) for tok in example.input):
         raise AlreadyPrefixedError(f"example {example.id!r} is already prefixed")
     n = prefix_len if prefix_len is not None else \
         count_non_mappable(example, token_map, identity)

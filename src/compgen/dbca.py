@@ -49,19 +49,27 @@ class DivergenceReport:
 def _walk(trace: DerivationTrace, atoms: list, compounds: list) -> None:
     """Append the atoms and the compounds of trace to the two lists, in the
     order extract_atoms and extract_compounds first see their keys: nodes in
-    preorder, found with an explicit stack so that no depth is too deep."""
-    stack = [trace]
-    while stack:
-        node = stack.pop()
+    preorder.  The walk goes on to a node's first child in a loop, and only
+    the later children wait on an explicit stack, so that no depth is too
+    deep and a one-child node costs no push."""
+    stack, node = [], trace
+    while True:
         rule, children = node.rule, node.children
         atoms.append(rule)
         if children:
             for child in children:
                 compounds.append(f"{rule}({child.rule})")
+            node = children[0]
             if len(children) == 2:
-                left, right = children
-                compounds.append(f"{rule}({left.rule},{right.rule})")
-            stack.extend(reversed(children))
+                right = children[1]
+                compounds.append(f"{rule}({node.rule},{right.rule})")
+                stack.append(right)
+            elif len(children) > 2:
+                stack.extend(children[:0:-1])
+        elif stack:
+            node = stack.pop()
+        else:
+            return
 
 
 def extract_atoms(trace: DerivationTrace) -> Counter:
@@ -106,22 +114,33 @@ def _numbering():
                                 [(ids.setdefault(k, len(ids)), v) for k, v in counts.items()])
 
 
+# The atom keys _rows collects from a group's traces before it counts them:
+# a group of few examples is counted once, a large one in bounded batches.
+_BATCH = 4096
+
+
 def _rows(groups: Iterable[Iterable[Example]]) -> tuple[list, list]:
     """One atom row and one compound row per group of examples: the sum of
     the group's extract_atoms, and of its extract_compounds, as rows of one
-    _numbering per kind.  Each trace is walked once, one example's keys at
-    a time: a whole group's list would cost memory."""
+    _numbering per kind.  Each trace is walked once into two key lists,
+    which go to the group's Counters whenever the atom list passes _BATCH
+    keys and at the group's end: a group is not counted one example at a
+    time, nor held as one whole list."""
     atom_row, compound_row = _numbering(), _numbering()
     atom_rows, compound_rows = [], []
     for group in groups:
         atoms, compounds = Counter(), Counter()
+        batch_atoms, batch_compounds = [], []
         for ex in group:
             if ex.derivation is None:
                 raise MissingTraceError(f"example {ex.id!r} has no derivation trace")
-            ex_atoms, ex_compounds = [], []
-            _walk(ex.derivation, ex_atoms, ex_compounds)
-            atoms.update(ex_atoms)
-            compounds.update(ex_compounds)
+            _walk(ex.derivation, batch_atoms, batch_compounds)
+            if len(batch_atoms) > _BATCH:
+                atoms.update(batch_atoms)
+                compounds.update(batch_compounds)
+                batch_atoms, batch_compounds = [], []
+        atoms.update(batch_atoms)
+        compounds.update(batch_compounds)
         atom_rows.append(atom_row(atoms))
         compound_rows.append(compound_row(compounds))
     return atom_rows, compound_rows

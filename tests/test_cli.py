@@ -418,6 +418,13 @@ def test_an_error_about_a_loaded_example_names_its_file(case, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_token_with_a_newline_after_a_placeholder_is_prefixed(tmp_path):
+    path, out = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+    path.write_text('{"id": "a", "input": ["<p1>\\n"], "output": ["X"]}\n')
+    assert run(["prep", "cgps-prefix", "--identity", "--in", str(path), "--out", str(out)]) == 0
+    assert [ex.input for ex in data.load_dataset(out)] == [("<p0>", "<p1>\n")]
+
+
 def test_env_seed_override(tmp_path, small_dataset, monkeypatch):
     monkeypatch.setenv("COMPGEN_SEED", "17")
     from compgen.cli import build_parser
@@ -951,6 +958,8 @@ def test_a_failed_write_leaves_the_output_as_it_was(case, cli_inputs, tmp_path, 
     out = tmp_path / "out"
     target = tmp_path / "out.manifest.json" if case == "manifest" else out
     target.write_bytes(b"old\n")
+    if case == "manifest":  # the output of the last run, which the manifest describes
+        out.write_bytes(b"old out\n")
     patched = {"eval curve": (evaluation, "divergence_curve", unwritable),
                "split random": (splits, "json", types.SimpleNamespace(dumps=unwritable)),
                "manifest": (cli, "json", types.SimpleNamespace(dumps=unwritable))}[case]
@@ -959,6 +968,8 @@ def test_a_failed_write_leaves_the_output_as_it_was(case, cli_inputs, tmp_path, 
     assert run(leaf_argv(name, cli_inputs) + ["--out", str(out)]) == 2
     assert "surrogates not allowed" in capsys.readouterr().err
     assert target.read_bytes() == b"old\n"
+    if case == "manifest":
+        assert out.read_bytes() == b"old out\n"
     assert not list(tmp_path.glob("*.partial"))
 
 

@@ -246,6 +246,14 @@ def _with(line, **values):
      "'derivation' must be a tree [rule, [subtree, ...]] of string rules or null"),
     (data.load_dataset, _with(EXAMPLE_LINE, derivation={"r": 0, "": 0}), "'derivation' must"),
     (data.load_dataset, _with(EXAMPLE_LINE, derivation=["r", ""]), "'derivation' must"),
+    (data.load_dataset, _with(EXAMPLE_LINE, derivation=["r", [["s", [[5, []]]]]]),
+     "'derivation' must"),
+    (data.load_dataset, _with(EXAMPLE_LINE, derivation=["r", [["s", [["t", {}]]]]]),
+     "'derivation' must"),
+    (data.load_dataset, _with(EXAMPLE_LINE, derivation=[["r"], [["s", []]]]),
+     "'derivation' must"),
+    (data.load_dataset, _with(EXAMPLE_LINE, derivation=[True, [["s", []]]]),
+     "'derivation' must"),
     (data.load_dataset, "[1]", "expected a JSON object"),
     (data.load_dataset, _with({}, output=["A"]), "missing key 'input'"),
     (data.load_predictions, _with(PREDICTION_LINE, replica=0.7),
@@ -256,7 +264,8 @@ def _with(line, **values):
     (data.load_predictions, _with(PREDICTION_LINE, prediction={"A": 1}),
      "'prediction' must be a string or a list of strings"),
 ], ids=["input-ints", "meta-list", "input-empty", "id-int", "rule-int", "derivation-object",
-        "children-string", "not-an-object", "no-input", "replica-float", "replica-bool",
+        "children-string", "chain-rule-int", "chain-children-object", "unary-rule-list",
+        "unary-rule-bool", "not-an-object", "no-input", "replica-float", "replica-bool",
         "id-null", "prediction-object"])
 def test_mistyped_line_names_file_and_line(load, line, message, tmp_path):
     path = tmp_path / "f.jsonl"
@@ -358,6 +367,56 @@ def test_loaded_traces_share_equal_subtrees(scan_dataset, tmp_path):
     (ex,) = [ex for ex in loaded if ex.input == ("jump", "and", "jump")]
     (conj,) = ex.derivation.children
     assert conj.rule == "and" and conj.children[0] is conj.children[1]
+
+
+RULES = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def shared_traces(draw):
+    """1-4 traces of rules a-c, 0-3 children a node, built bottom up: a new
+    node takes its children from the nodes made before it, so that subtrees
+    are shared, and 0-3 one-child nodes may stand on it, so that there are
+    unary chains.  Three rules make equal subtrees that are not one object."""
+    pool = [data.DerivationTrace(draw(RULES))]
+    for _ in range(draw(st.integers(0, 12))):
+        kids = tuple(draw(st.lists(st.sampled_from(pool), max_size=3)))
+        node = data.DerivationTrace(draw(RULES), kids)
+        for _ in range(draw(st.integers(0, 3))):
+            node = data.DerivationTrace(draw(RULES), (node,))
+        pool.append(node)
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+def reference_jsonable(trace):
+    return [trace.rule, [reference_jsonable(child) for child in trace.children]]
+
+
+def reference_depth(trace):
+    return 1 + max(map(reference_depth, trace.children), default=0)
+
+
+def structure(trace):
+    return trace.rule, tuple(map(structure, trace.children))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shared_traces())
+def test_traces_of_any_shape_convert_and_load_as_the_recursive_definitions(traces):
+    memo, loaded = {}, []
+    for trace in traces:
+        obj, depth = data._jsonable(trace)
+        assert obj == reference_jsonable(trace) and depth == reference_depth(trace)
+        loaded.append(data._interned_trace(json.loads(json.dumps(obj)), memo))
+        assert loaded[-1] == trace
+    # One object per distinct subtree, under the memo key of its rule and child ids.
+    by_structure = {}
+    for node in (node for trace in loaded for node in nodes(trace)):
+        by_structure.setdefault(structure(node), set()).add(id(node))
+    assert all(len(ids) == 1 for ids in by_structure.values())
+    assert len(memo) == len(by_structure)
+    for key, node in memo.items():
+        assert key == ((node.rule, *map(id, node.children)) if node.children else node.rule)
 
 
 def _distinct(strings) -> tuple[int, int]:
@@ -575,6 +634,13 @@ def test_cgps_prefix_idempotence_guard():
     once = data.cgps_prefix(ex, identity=True)
     with pytest.raises(data.AlreadyPrefixedError):
         data.cgps_prefix(once, identity=True)
+
+
+@pytest.mark.parametrize("token", ["<p1>\n", "<p\u0661>", "<p1> ", "x<p1>", "<p>", "<P1>"])
+def test_a_token_that_only_resembles_a_placeholder_is_not_one(token):
+    ex = example([token], ["SELECT"])
+    out = data.cgps_prefix(ex, identity=True)
+    assert out.input == ("<p0>", token)
 
 
 def test_cgps_prefix_global_length():

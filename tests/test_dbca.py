@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from compgen import data, dbca, scan, splits
 from oracle_dbca import divergence, nodes
+from test_data import shared_traces
 from test_golden import MCD_REPAIR_SHA256, MCD_SAMPLE_SHA256
 
 
@@ -61,21 +63,83 @@ def test_compounds_local():
     assert a == b
 
 
+def reference_keys(trace):
+    """The atoms and the compounds of trace, in order, by the recursive definition."""
+    atoms, compounds = [], []
+    for node in nodes(trace):
+        atoms.append(node.rule)
+        compounds.extend(f"{node.rule}({child.rule})" for child in node.children)
+        if len(node.children) == 2:
+            left, right = node.children
+            compounds.append(f"{node.rule}({left.rule},{right.rule})")
+    return atoms, compounds
+
+
 def reference_atoms(trace):
     """extract_atoms by its recursive definition."""
-    return Counter(node.rule for node in nodes(trace))
+    return Counter(reference_keys(trace)[0])
 
 
 def reference_compounds(trace):
     """extract_compounds by its recursive definition."""
-    compounds = Counter()
-    for node in nodes(trace):
-        for child in node.children:
-            compounds[f"{node.rule}({child.rule})"] += 1
-        if len(node.children) == 2:
-            left, right = node.children
-            compounds[f"{node.rule}({left.rule},{right.rule})"] += 1
-    return compounds
+    return Counter(reference_keys(trace)[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shared_traces())
+def test_walk_lists_keys_in_the_recursive_order(traces):
+    for trace in traces:
+        atoms, compounds = [], []
+        dbca._walk(trace, atoms, compounds)
+        assert (atoms, compounds) == reference_keys(trace)
+
+
+def per_example_rows(groups):
+    """_rows by counting each example's keys into its group's Counters one at a time."""
+    atom_counts, compound_counts = [], []
+    for group in groups:
+        atoms, compounds = Counter(), Counter()
+        for ex in group:
+            atoms.update(reference_atoms(ex.derivation))
+            compounds.update(reference_compounds(ex.derivation))
+        atom_counts.append(atoms)
+        compound_counts.append(compounds)
+    return id_rows(atom_counts), id_rows(compound_counts)
+
+
+def test_a_group_larger_than_a_batch_counts_as_its_examples_one_by_one(scan_dataset):
+    # Groups of many batches, of one example and of less than one batch.
+    groups = [scan_dataset[:9000], scan_dataset[9000:9001], scan_dataset[9001:9300],
+              scan_dataset[9300:]]
+    assert sum(len(reference_keys(ex.derivation)[0]) for ex in groups[0]) > 8 * dbca._BATCH
+    assert dbca._rows(groups) == per_example_rows(groups)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(shared_traces(), min_size=1, max_size=4), st.integers(0, 6))
+def test_rows_of_any_shapes_and_batch_size_count_as_one_by_one(trace_lists, batch):
+    groups = [[data.Example(f"{i}-{j}", ("x",), ("X",), trace) for j, trace in enumerate(traces)]
+              for i, traces in enumerate(trace_lists)]
+    with mock.patch.object(dbca, "_BATCH", batch):
+        assert dbca._rows(groups) == per_example_rows(groups)
+
+
+def test_measure_counts_in_batches_not_one_example_at_a_time(scan_dataset, monkeypatch):
+    calls = []
+
+    class CountingCounter(Counter):
+        def update(self, iterable=None, /, **kwds):
+            if iterable is not None:  # Counter() itself calls update(None)
+                calls.append(None)
+            super().update(iterable, **kwds)
+
+    monkeypatch.setattr(dbca, "Counter", CountingCounter)
+    dbca.measure(scan_dataset[:16728], scan_dataset[16728:])
+    atoms = sum(len(reference_keys(ex.derivation)[0]) for ex in scan_dataset)
+    assert atoms == 145_604
+    # Each kind: a call per _BATCH atoms and one at the end of each side; one
+    # call per example would be 2 * 20,910.
+    assert len(calls) <= 2 * (atoms // dbca._BATCH + 2)
 
 
 @pytest.fixture(scope="module")
